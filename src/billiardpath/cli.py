@@ -305,7 +305,7 @@ def cmd_cover(args) -> int:
             raise _InputError(str(exc))
     try:
         result = cover(target, corpus, precision=args.precision,
-                       max_depth=args.max_depth, threads=args.threads)
+                       max_depth=args.max_depth)
     except ValueError as exc:
         raise _InputError(str(exc))
     if args.output:
@@ -562,7 +562,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--precision", type=_precision, default=MIN_PRECISION)
     p.add_argument("--max-depth", type=_positive_int,
                    default=DEFAULT_MAX_DEPTH)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--output", "-o", help="write the cover record here "
                                           "instead of stdout")
     p.add_argument("--svg", help="draw the cover map to this file")

@@ -12,9 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-# Degrees.  Kept as a plain Fraction; the name documents intent at call sites.
-RationalAngle = Fraction
-
 MIN_PRECISION = 7
 _GUARD = 8  # extra working digits behind every enclosure
 
@@ -96,18 +93,6 @@ class Interval:
 
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"
-
-
-def interval_add(a: Interval, b: Interval) -> Interval:
-    return a + b
-
-
-def interval_sub(a: Interval, b: Interval) -> Interval:
-    return a - b
-
-
-def interval_mul(a: Interval, b: Interval) -> Interval:
-    return a * b
 
 
 def quantize_outward(iv: Interval, precision: int) -> Interval:
@@ -640,7 +625,3 @@ def simplify(products) -> TrigPoly:
             poly = poly * TrigPoly.atom(kind, m, n, q)
         total = total + poly
     return total.scaled(2)
-
-
-def gradient_bound(f: TrigPoly):
-    return f.gradient_bound()

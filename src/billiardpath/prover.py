@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from fractions import Fraction
 
 from .classify import angle_bounding_polygon, is_stable, line_region
@@ -34,8 +34,9 @@ from .tower import BLACK, pruned_key_points, symbolic_tower
 DEFAULT_MAX_DEPTH = 20
 
 # Cover targets usable by name.  The first two are strips between lines of
-# constant angle sum; the demo is a small acute patch a single short code
-# covers quickly.
+# constant angle sum; the demo is a small acute patch that the single code
+# 1 1 1 covers quickly, so it needs a corpus holding that code (the shipped
+# one does not).
 PRESETS = {
     "strip-75-80": (
         (Fraction(75, 2), Fraction(75, 2)),
@@ -125,7 +126,7 @@ class RegionSystem:
     """
 
     __slots__ = ("code", "asg", "kind", "polygon", "line", "sym", "keys",
-                 "atoms", "rows", "den", "bbox", "_deriv")
+                 "atoms", "rows", "den", "_deriv")
 
     def __init__(self, code, asg, kind, polygon, line, sym, keys, atoms,
                  rows, den):
@@ -140,11 +141,6 @@ class RegionSystem:
         self.rows = rows
         self.den = den
         self._deriv = None
-        if kind == "line" and line is not None and line.segment is not None:
-            (x0, y0), (x1, y1) = line.segment
-            self.bbox = (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
-        else:
-            self.bbox = polygon.bbox()
 
     @property
     def empty(self) -> bool:
@@ -541,92 +537,23 @@ def _field(line: str, name: str) -> str:
 
 
 def _bbox_meets(b, square: Square) -> bool:
-    if b is None:
-        return False
     x0, y0, x1, y1 = b
     return (square.x - square.r <= x1 and x0 <= square.x + square.r
             and square.y - square.r <= y1 and y0 <= square.y + square.r)
-
-
-class _Cover:
-    """One cover run; systems built lazily and shared across the tree."""
-
-    def __init__(self, codes, precision):
-        self.codes = codes
-        self.precision = precision
-        self.plans = []  # (entry index, assignment index) in corpus order
-        self.polys = {}
-        self.bboxes = {}
-        self.systems = {}
-        for i, code in enumerate(codes):
-            for j, asg in enumerate(all_assignments(code)):
-                poly = angle_bounding_polygon(code, asg)
-                if poly.is_empty:
-                    continue
-                if not is_stable(code):
-                    # a line system never certifies area on its own
-                    continue
-                self.plans.append((i, j))
-                self.polys[(i, j)] = poly
-                self.bboxes[(i, j)] = poly.bbox()
-
-    def system(self, key):
-        got = self.systems.get(key)
-        if got is None:
-            i, j = key
-            code = self.codes[i]
-            got = region_system(code, all_assignments(code)[j])
-            self.systems[key] = got
-        return got
-
-    def visit(self, square, allowed, hint):
-        """Certify one node; pure given its arguments, so threads may run
-        nodes of a frontier in any order."""
-        sx0, sx1 = square.x - square.r, square.x + square.r
-        sy0, sy1 = square.y - square.r, square.y + square.r
-        cands = [key for key in allowed
-                 if _bbox_meets(self.bboxes[key], square)]
-        if hint in cands:
-            cands.remove(hint)
-            cands.insert(0, hint)
-        corners = square.corners()
-        pending = []
-        for key in cands:
-            # cheap gates first: a square poking out of the outer bounding
-            # box, then out of the polygon, cannot be certified, and the
-            # exact corner test is what makes systems worth building
-            x0, y0, x1, y1 = self.bboxes[key]
-            if not (x0 <= sx0 and sx1 <= x1 and y0 <= sy0 and sy1 <= y1):
-                continue
-            poly = self.polys[key]
-            if not all(poly.contains_point(cx, cy) for cx, cy in corners):
-                continue
-            cert = certify_square(self.system(key), square, self.precision)
-            if cert.passed:
-                return ("covered", key, cert, self.precision, cands)
-            if cert.status == "indeterminate":
-                pending.append(key)
-        high = 2 * self.precision
-        for key in pending:
-            cert = certify_square(self.system(key), square, high)
-            if cert.passed:
-                return ("covered", key, cert, high, cands)
-        hint = pending[0] if pending else None
-        return ("split", hint, None, None, cands)
 
 
 def cover(target, corpus, *, precision: int = MIN_PRECISION,
           max_depth: int = DEFAULT_MAX_DEPTH, threads: int = 1) -> CoverResult:
     """Certify a convex rational target polygon against a corpus of codes.
 
-    Quadtree from the target's bounding square: nodes missing the target
-    (or overlapping it with zero area) are dropped, certified nodes become
-    records, everything else splits until ``max_depth``, where the
-    uncovered squares are reported as failures.  An indeterminate verdict
-    retries at double precision before splitting.  Candidate order is the
-    corpus order filtered down the parent chain, with the parent's most
-    promising code tried first; results are merged level by level in tree
-    order, so the outcome is identical for any ``threads``.
+    Quadtree from the target's bounding square, visited breadth first:
+    nodes missing the target (or overlapping it with zero area) are
+    dropped, certified nodes become records, everything else splits until
+    ``max_depth``, where the uncovered squares are reported as failures.
+    An indeterminate verdict retries at double precision before splitting.
+    Candidate order is the corpus order filtered down the parent chain,
+    with the parent's most promising code tried first.  ``threads`` is
+    accepted for compatibility and ignored.
     """
     codes = [getattr(e, "code", e) for e in corpus]
     target = [(Fraction(x), Fraction(y)) for x, y in target]
@@ -634,11 +561,25 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
         raise ValueError("target polygon is degenerate")
     if polygon_area2(target) < 0:
         target.reverse()
-    run = _Cover(codes, precision)
-    x0, y0, x1, y1 = polygon_bbox(target)
-    root = Square((x0 + x1) / 2, (y0 + y1) / 2, max(x1 - x0, y1 - y0) / 2)
-    records, failures = [], []
-    max_depth_used = 0
+    # (key, polygon, bbox) per (entry index, assignment index), in corpus
+    # order; a line system never certifies area on its own
+    plans = []
+    for i, code in enumerate(codes):
+        if not is_stable(code):
+            continue
+        for j, asg in enumerate(all_assignments(code)):
+            poly = angle_bounding_polygon(code, asg)
+            if not poly.is_empty:
+                plans.append(((i, j), poly, poly.bbox()))
+    systems = {}  # built lazily, shared across the tree
+
+    def system(key):
+        got = systems.get(key)
+        if got is None:
+            i, j = key
+            got = systems[key] = region_system(
+                codes[i], all_assignments(codes[i])[j])
+        return got
 
     def overlaps(square):
         piece = target
@@ -648,34 +589,56 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
                 return False
         return polygon_area2(piece) != 0
 
-    frontier = [(root, list(run.plans), None)]
-    depth = 0
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
-    try:
-        while frontier:
-            sheet = [node for node in frontier if overlaps(node[0])]
-            vmap = pool.map if pool is not None else map
-            outcomes = list(vmap(lambda n: run.visit(*n), sheet))
-            frontier = []
-            for (square, _, _), out in zip(sheet, outcomes):
-                verdict, key, cert, used_p, cands = out
-                if verdict == "covered":
-                    max_depth_used = max(max_depth_used, depth)
-                    i, j = key
-                    letters = (run.system(key).asg.symbol(1)
-                               + run.system(key).asg.symbol(2))
-                    records.append(CoverRecord(square, i, cert.margin,
-                                               used_p, letters))
-                elif not cands or depth >= max_depth:
-                    max_depth_used = max(max_depth_used, depth)
-                    failures.append(square)
-                else:
-                    for child in square.children():
-                        frontier.append((child, cands, key))
-            depth += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    x0, y0, x1, y1 = polygon_bbox(target)
+    root = Square((x0 + x1) / 2, (y0 + y1) / 2, max(x1 - x0, y1 - y0) / 2)
+    records, failures = [], []
+    max_depth_used = 0
+    queue = deque([(root, 0, plans, None)])
+    while queue:
+        square, depth, allowed, hint = queue.popleft()
+        if not overlaps(square):
+            continue
+        sx0, sx1 = square.x - square.r, square.x + square.r
+        sy0, sy1 = square.y - square.r, square.y + square.r
+        cands = [plan for plan in allowed if _bbox_meets(plan[2], square)]
+        if hint in cands:
+            cands.remove(hint)
+            cands.insert(0, hint)
+        corners = square.corners()
+        p, cert, pending = precision, None, []
+        for plan in cands:
+            key, poly, (bx0, by0, bx1, by1) = plan
+            # cheap gates first: a square poking out of the outer bounding
+            # box, then out of the polygon, cannot be certified, and the
+            # exact corner test is what makes systems worth building
+            if not (bx0 <= sx0 and sx1 <= bx1 and by0 <= sy0 and sy1 <= by1):
+                continue
+            if not all(poly.contains_point(cx, cy) for cx, cy in corners):
+                continue
+            cert = certify_square(system(key), square, p)
+            if cert.passed:
+                break
+            if cert.status == "indeterminate":
+                pending.append(plan)
+        else:
+            p = 2 * precision
+            for plan in pending:
+                cert = certify_square(system(plan[0]), square, p)
+                if cert.passed:
+                    break
+        if cert is not None and cert.passed:
+            max_depth_used = max(max_depth_used, depth)
+            key = plan[0]
+            asg = system(key).asg
+            records.append(CoverRecord(square, key[0], cert.margin, p,
+                                       asg.symbol(1) + asg.symbol(2)))
+        elif not cands or depth >= max_depth:
+            max_depth_used = max(max_depth_used, depth)
+            failures.append(square)
+        else:
+            hint = pending[0] if pending else None
+            queue.extend((child, depth + 1, cands, hint)
+                         for child in square.children())
     return CoverResult(target, len(codes), precision, max_depth, records,
                        failures, max_depth_used)
 

@@ -24,7 +24,6 @@ from .numeric import (
     AffineForm,
     Interval,
     TrigPoly,
-    interval_mul,
     simplify,
 )
 from .sequences import (
@@ -347,7 +346,7 @@ class Tower:
     def score(self, point: TowerPoint) -> Interval:
         civ, div = self.shooting_vector()
         pxv, pyv = self.locate(point)
-        return interval_mul(div, pxv) - interval_mul(civ, pyv)
+        return div * pxv - civ * pyv
 
     def fan_angles_below_180(self) -> bool:
         return all(f.central_degrees(self.x, self.y) < 180
@@ -479,7 +478,7 @@ def test_III(tower: Tower) -> Verdict:
 
     def offset(point):
         pxv, pyv = tower.locate(point)
-        return interval_mul(civ, pxv) + interval_mul(div, pyv)
+        return civ * pxv + div * pyv
 
     rails = [offset(center) for center, _ in sides]
     lo = min(r.lo for r in rails)
@@ -605,8 +604,7 @@ def convex_hull_separation(tower: Tower) -> Verdict:
 
     def dot_iv(nx, ny, p):
         xiv, yiv = coords[id(p)]
-        return interval_mul(Interval.exact(nx), xiv) + \
-            interval_mul(Interval.exact(ny), yiv)
+        return Interval.exact(nx) * xiv + Interval.exact(ny) * yiv
 
     # separating axis: some hull edge normal parts the two colors
     axes = []
@@ -630,8 +628,7 @@ def convex_hull_separation(tower: Tower) -> Verdict:
         (px_, py_) = coords[id(p)]
         (qx_, qy_) = coords[id(q)]
         (rx_, ry_) = coords[id(r)]
-        return interval_mul(qx_ - px_, ry_ - py_) - \
-            interval_mul(qy_ - py_, rx_ - px_)
+        return (qx_ - px_) * (ry_ - py_) - (qy_ - py_) * (rx_ - px_)
 
     def strictly_inside(p, hull):
         if len(hull) < 3:
@@ -660,68 +657,3 @@ def convex_hull_separation(tower: Tower) -> Verdict:
                 return Verdict("fail", None, *total)
     return Verdict("indeterminate", None, *total)
 
-
-# -- rendering ---------------------------------------------------------
-
-
-def tower_svg(tower: Tower, width: int = 900) -> str:
-    """Draw the chain, colored vertices, labels, and the shooting band."""
-    def mid(point):
-        xiv, yiv = tower.locate(point)
-        return (float(xiv.lo + xiv.hi) / 2, float(yiv.lo + yiv.hi) / 2)
-
-    pts = {id(p): mid(p) for p in tower.sym.points}
-    xs = [v[0] for v in pts.values()]
-    ys = [v[1] for v in pts.values()]
-    pad = 0.3
-    x0, x1 = min(xs) - pad, max(xs) + pad
-    y0, y1 = min(ys) - pad, max(ys) + pad
-    scale = width / (x1 - x0)
-    height = int((y1 - y0) * scale) + 1
-
-    def at(v):
-        return ((v[0] - x0) * scale, (y1 - v[1]) * scale)
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-             f'width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}">',
-             '<rect width="100%" height="100%" fill="white"/>']
-    for fan in tower.sym.fans:
-        c = at(pts[id(fan.center)])
-        for j, p in enumerate(fan.arc):
-            a = at(pts[id(p)])
-            parts.append(f'<line x1="{c[0]:.2f}" y1="{c[1]:.2f}" '
-                         f'x2="{a[0]:.2f}" y2="{a[1]:.2f}" '
-                         f'stroke="#999" stroke-width="1"/>')
-            if j:
-                b = at(pts[id(fan.arc[j - 1])])
-                parts.append(f'<line x1="{b[0]:.2f}" y1="{b[1]:.2f}" '
-                             f'x2="{a[0]:.2f}" y2="{a[1]:.2f}" '
-                             f'stroke="#bbb" stroke-width="1"/>')
-    try:
-        civ, div = tower.shooting_vector()
-        c = float(civ.lo + civ.hi) / 2
-        d = float(div.lo + div.hi) / 2
-        norm = (c * c + d * d) ** 0.5 or 1.0
-        c, d = c / norm, d / norm
-        span = max(x1 - x0, y1 - y0) * 2
-        for anchor in (tower.sym.base[0], tower.sym.base[1]):
-            px, py = pts[id(anchor)]
-            p0 = at((px - c * span, py - d * span))
-            p1 = at((px + c * span, py + d * span))
-            parts.append(f'<line x1="{p0[0]:.2f}" y1="{p0[1]:.2f}" '
-                         f'x2="{p1[0]:.2f}" y2="{p1[1]:.2f}" '
-                         f'stroke="#e8b100" stroke-width="1.2" '
-                         f'stroke-dasharray="6 4"/>')
-    except PrecisionError:
-        pass
-    for p in tower.sym.points:
-        cx, cy = at(pts[id(p)])
-        fill = "#1f5fd0" if p.color == BLUE else "#111"
-        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" '
-                     f'fill="{fill}"/>')
-        m, j = p.label
-        parts.append(f'<text x="{cx + 6:.2f}" y="{cy - 6:.2f}" '
-                     f'font-size="11" fill="#333">L({m},{j})</text>')
-    parts.append('</svg>')
-    return "\n".join(parts)

@@ -22,8 +22,7 @@ from billiardpath.classify import (angle_bounding_polygon,
 from billiardpath.corpus import (default_corpus_text, load_default_corpus,
                                  parse_corpus_line)
 from billiardpath.numeric import (Interval, TrigPoly, enclose_cos,
-                                  enclose_sin, interval_add, interval_mul,
-                                  interval_sub, pi_enclosure)
+                                  enclose_sin, pi_enclosure)
 from billiardpath.oracle import assignment_start, find_orbit
 from billiardpath.prover import (PRESETS, Square, certify_square, cover,
                                  infinite_pattern, pattern_code,
@@ -31,8 +30,10 @@ from billiardpath.prover import (PRESETS, Square, certify_square, cover,
 from billiardpath.sequences import (AlphabetSequence, CodeSequence,
                                     all_assignments, assign_angles,
                                     automaton_legal, reduces_to_empty)
-from billiardpath.tower import (Triangle, symbolic_tower, test_I, test_II,
-                                test_III, unfold)
+from billiardpath.tower import Triangle, symbolic_tower, unfold
+from billiardpath.tower import test_I as band_test
+from billiardpath.tower import test_II as pruned_band_test
+from billiardpath.tower import test_III as shape_test
 
 F = Fraction
 
@@ -96,15 +97,15 @@ def test_03_reference_paths_pass_and_thetas_match_oracle():
     orthic = CodeSequence([1, 1, 1])
     asg = all_assignments(orthic)[0]
     acute = unfold(orthic, asg, F(60), y=F(60))
-    assert test_I(acute).status == "pass"
-    assert test_II(acute).status == "pass"
+    assert band_test(acute).status == "pass"
+    assert pruned_band_test(acute).status == "pass"
     obtuse = unfold(orthic, asg, F(20), y=F(30))
-    assert test_I(obtuse).status == "fail"
-    assert test_II(obtuse).status == "fail"
+    assert band_test(obtuse).status == "fail"
+    assert pruned_band_test(obtuse).status == "fail"
 
     two = CodeSequence([2, 2])
     _, asg2 = canonical_unstable_line(two)
-    assert test_III(unfold(two, asg2, F(50), y=F(50))).status == "pass"
+    assert shape_test(unfold(two, asg2, F(50), y=F(50))).status == "pass"
 
     repeat = CodeSequence([1, 2, 1, 2])
     _, asg4 = canonical_unstable_line(repeat)
@@ -112,7 +113,7 @@ def test_03_reference_paths_pass_and_thetas_match_oracle():
     worst = 0.0
     for x in (10, 15, 20, 25, 30, 35, 40, 45, 50, 60):
         y = 90 - x
-        assert test_III(unfold(repeat, asg4, F(x), y=F(y))).status == "pass"
+        assert shape_test(unfold(repeat, asg4, F(x), y=F(y))).status == "pass"
         orb = find_orbit(Triangle(F(x), F(y)), repeat, seed=0,
                          starts=[assignment_start(repeat, asg4)])
         assert orb is not None, f"no closed path found at ({x}, {y})"
@@ -217,10 +218,10 @@ def test_09_trig_enclosures_contain_higher_precision_recomputation():
     for _ in range(10000):
         a = _random_interval(rng)
         b = _random_interval(rng)
-        assert interval_add(a, b) == Interval(a.lo + b.lo, a.hi + b.hi)
-        assert interval_sub(a, b) == Interval(a.lo - b.hi, a.hi - b.lo)
+        assert a + b == Interval(a.lo + b.lo, a.hi + b.hi)
+        assert a - b == Interval(a.lo - b.hi, a.hi - b.lo)
         ps = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-        assert interval_mul(a, b) == Interval(min(ps), max(ps))
+        assert a * b == Interval(min(ps), max(ps))
     print(f"interval soundness: 10000 enclosures and 10000 ring-op "
           f"triples, {time.perf_counter() - t0:.1f}s")
 
@@ -285,7 +286,8 @@ def test_11_band_test_agrees_with_bounce_oracle():
             continue
         verdict = None
         for precision in (7, 14, 30):
-            v = test_II(unfold(entry.code, asg, x, y=y, precision=precision))
+            v = pruned_band_test(unfold(entry.code, asg, x, y=y,
+                                        precision=precision))
             if v.status != "indeterminate":
                 verdict = v.status
                 break

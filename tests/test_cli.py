@@ -207,7 +207,7 @@ class TestCover:
         first = run(capsys, "cover", "--region", square_region,
                     "--corpus", tiny_corpus)
         second = run(capsys, "cover", "--region", square_region,
-                     "--corpus", tiny_corpus, "--threads", "2")
+                     "--corpus", tiny_corpus)
         assert first == second
 
 
@@ -287,3 +287,9 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["cover", "--region", "acute-demo", "--max-depth", "0"])
         assert info.value.code == 3
+
+    def test_cover_has_no_threads_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["cover", "--region", "acute-demo", "--threads", "2"])
+        assert info.value.code == 3
+        assert "--threads" in capsys.readouterr().err

@@ -11,20 +11,16 @@ from billiardpath.numeric import (
     TrigPoly,
     enclose_cos,
     enclose_sin,
-    gradient_bound,
     half_pi_enclosure,
-    interval_add,
-    interval_mul,
-    interval_sub,
     pi_enclosure,
     simplify,
 )
 
 
 def test_interval_ring_ops():
-    assert interval_add(Interval(1, 2), Interval(3, 4)) == Interval(4, 6)
-    assert interval_sub(Interval(1, 2), Interval(3, 4)) == Interval(-3, -1)
-    assert interval_mul(Interval(-1, 2), Interval(3, 4)) == Interval(-4, 8)
+    assert Interval(1, 2) + Interval(3, 4) == Interval(4, 6)
+    assert Interval(1, 2) - Interval(3, 4) == Interval(-3, -1)
+    assert Interval(-1, 2) * Interval(3, 4) == Interval(-4, 8)
 
 
 def test_interval_mul_sign_cases():
@@ -112,9 +108,9 @@ def test_simplify_is_linear_over_products():
 
 
 def test_gradient_bound_examples():
-    assert gradient_bound(TrigPoly.atom("sin", 2, -7)) == 9
-    assert gradient_bound(TrigPoly.atom("sin", 0, 1, 0, -2)) == 2
-    assert gradient_bound(TrigPoly()) == 0
+    assert TrigPoly.atom("sin", 2, -7).gradient_bound() == 9
+    assert TrigPoly.atom("sin", 0, 1, 0, -2).gradient_bound() == 2
+    assert TrigPoly().gradient_bound() == 0
 
 
 def test_eval_simple_points():
@@ -164,7 +160,7 @@ def test_gradient_bound_is_sound():
             f = f + TrigPoly.atom(rng.choice(("sin", "cos")),
                                   rng.randrange(-5, 6), rng.randrange(-5, 6),
                                   0, F(rng.randrange(-4, 5)))
-        g = gradient_bound(f)
+        g = f.gradient_bound()
         cx, cy = F(rng.randrange(10, 170)), F(rng.randrange(10, 170))
         r = F(1, rng.randrange(2, 50))
         p = (cx + r * F(rng.randrange(-100, 101), 100),

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from billiardpath.classify import classify_code
+from billiardpath.classify import angle_bounding_polygon, classify_code
 from billiardpath.corpus import load_default_corpus
 from billiardpath.prover import (
     Certificate,
@@ -33,6 +33,33 @@ F = Fraction
 
 ORTHIC = CodeSequence([1, 1, 1])
 SQUARE_REPEAT = CodeSequence([1, 2, 1, 2])
+
+
+# cover([(40, 50), (80, 50), (60, 80)], [ORTHIC], max_depth=3)
+MULTI_LEVEL_COVER = """\
+cover 1
+precision 7
+max-depth 3
+target 40,50 80,50 60,80
+corpus-size 1
+square 55 60 5 0 695673/2500000 p7
+square 65 50 5 0 404243/2500000 p7
+square 75 50 5 0 2077243/10000000 p7
+square 65 60 5 0 695673/2500000 p7
+square 75 60 5 0 207527/1250000 p7
+square 55 70 5 0 2198639/10000000 p7
+square 65 70 5 0 699199/5000000 p7
+square 95/2 105/2 5/2 0 572161/10000000 p7
+square 105/2 105/2 5/2 0 1512733/5000000 p7
+square 115/2 105/2 5/2 0 1415817/2500000 p7
+square 85/2 115/2 5/2 0 233519/5000000 p7
+square 95/2 115/2 5/2 0 117873/400000 p7
+square 95/2 125/2 5/2 0 5456217/10000000 p7
+square 115/2 155/2 5/2 0 418111/2500000 p7
+square 125/2 155/2 5/2 0 180693/1250000 p7
+failure 85/2 105/2 5/2
+summary squares=15 failures=1 min-margin=233519/5000000 max-depth-used=3 complete=no
+"""
 
 
 @pytest.fixture(scope="module")
@@ -229,12 +256,30 @@ class TestCover:
         with pytest.raises(ValueError):
             cover([(0, 0), (1, 1), (2, 2)], [ORTHIC])
 
-    def test_deterministic_across_runs_and_threads(self):
+    def test_deterministic_across_runs(self):
         one = cover(PRESETS["acute-demo"], [ORTHIC])
         two = cover(PRESETS["acute-demo"], [ORTHIC])
-        threaded = cover(PRESETS["acute-demo"], [ORTHIC], threads=3)
-        assert one == two == threaded
-        assert one.to_text() == threaded.to_text()
+        assert one == two
+        assert one.to_text() == two.to_text()
+
+    def test_multi_level_record_order(self):
+        # breadth first, children in tree order: the record order of a
+        # cover that splits twice, frozen byte for byte
+        res = cover([(40, 50), (80, 50), (60, 80)], [ORTHIC], max_depth=3)
+        assert res.to_text() == MULTI_LEVEL_COVER
+
+    def test_unstable_codes_build_no_polygon(self, monkeypatch):
+        seen = []
+
+        def spy(code, asg):
+            seen.append(code)
+            return angle_bounding_polygon(code, asg)
+
+        monkeypatch.setattr("billiardpath.prover.angle_bounding_polygon", spy)
+        res = cover(PRESETS["acute-demo"], [ORTHIC, SQUARE_REPEAT])
+        assert res.complete
+        assert ORTHIC in seen
+        assert SQUARE_REPEAT not in seen
 
     def test_round_trip(self, tmp_path):
         res = cover([(50, 50), (70, 50), (70, 70), (50, 70)], [ORTHIC])
