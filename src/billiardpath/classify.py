@@ -4,18 +4,18 @@ A legal code paired with an angle assignment lands in one of five types.
 Stability is measured by the defect triple; unstable codes live on a line in
 the (x, y) angle map.  Where the geometry pins down the first shooting angle
 it is solved exactly; the reflecting-angle expansion then bounds the code's
-region by a convex polygon.
+region by a convex polygon, compiled straight to integer halfplane triples
+(a, b, c) meaning a*x + b*y + c > 0 with x and y in degrees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .geometry import (
     intersect_halfplanes,
     line_segment_in_halfplanes,
-    normalize_halfplane,
     point_satisfies,
     polygon_area2,
     polygon_bbox,
@@ -144,20 +144,6 @@ def solve_theta(code: CodeSequence, asg: AngleAssignment):
     return (target - rest) * (1 if phi.t > 0 else -1)
 
 
-def _primitive_direction(a, b, c):
-    """Scale a*x + b*y + c >= 0 so (a, b) is a primitive integer pair."""
-    scale = 1
-    for v in (a, b, c):
-        if isinstance(v, Fraction):
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-    if scale != 1:
-        a, b, c = a * scale, b * scale, c * scale
-    g = gcd(int(a), int(b))
-    if g > 1:
-        return int(a) // g, int(b) // g, Fraction(c, g)
-    return int(a), int(b), Fraction(c)
-
-
 # --- unstable lines ---------------------------------------------------
 
 def _normalize_line(a: int, b: int, c: int):
@@ -223,44 +209,34 @@ def reduce_on_line(form: AffineForm, line) -> AffineForm:
 class BoundingPolygon:
     """Convex outer bound of a code region.
 
-    ``bounds`` lists (form, upper) pairs meaning 0 < form < upper; the
-    derived halfplanes always include the open base triangle.  ``vertices``
-    is the clipped closure, empty when the constraints are infeasible.
+    Built from integer halfplane triples (a, b, c), each meaning
+    a*x + b*y + c > 0 in degrees; the open base triangle is always added.
+    A triple with a = b = 0 is a constant bound: it holds when c > 0 and
+    otherwise makes the region empty.  ``halfplanes`` keeps the tightest
+    triple per direction, as sorted primitive integer triples.  ``vertices``
+    is the clipped closure, empty when the region is.
     """
 
-    __slots__ = ("bounds", "halfplanes", "vertices", "infeasible", "faces")
+    __slots__ = ("halfplanes", "vertices", "faces")
 
-    def __init__(self, bounds):
-        self.bounds = []
-        self.infeasible = False
-        seen = set()
-        raw = [(1, 0, Fraction(0)), (0, 1, Fraction(0)),
-               (-1, -1, Fraction(180))]
-        for form, upper in bounds:
-            if form.t != 0:
-                raise ValueError("bound still mentions theta")
-            key = (form.ax, form.ay, form.c, upper)
-            if key in seen:
+    def __init__(self, halfplanes):
+        feasible = True
+        # primitive direction (a, b) -> tightest offset c
+        best = {(1, 0): Fraction(0), (0, 1): Fraction(0),
+                (-1, -1): Fraction(180)}
+        for a, b, c in halfplanes:
+            g = gcd(a, b)
+            if g == 0:
+                feasible = feasible and c > 0
                 continue
-            seen.add(key)
-            self.bounds.append((form, upper))
-            if form.is_constant():
-                if not 0 < form.c * 90 < upper:
-                    self.infeasible = True
-                continue
-            raw.append((form.ax, form.ay, form.c * 90))
-            raw.append((-form.ax, -form.ay, upper - form.c * 90))
-        # same direction: only the tightest offset can bind
-        best = {}
-        for a, b, c in raw:
-            a, b, c = _primitive_direction(a, b, c)
-            off = best.get((a, b))
-            if off is None or c < off:
-                best[(a, b)] = c
-        self.halfplanes = sorted(normalize_halfplane(a, b, c)
-                                 for (a, b), c in best.items())
-        self.vertices = [] if self.infeasible else \
-            intersect_halfplanes(self.halfplanes)
+            key, off = (a // g, b // g), Fraction(c, g)
+            if key not in best or off < best[key]:
+                best[key] = off
+        self.halfplanes = sorted(
+            (a * off.denominator, b * off.denominator, off.numerator)
+            for (a, b), off in best.items())
+        self.vertices = intersect_halfplanes(self.halfplanes) \
+            if feasible else []
         # constraints tight somewhere on the result delimit the same region
         # as the whole set; point and segment tests use just those
         if len(self.vertices) >= 3 and polygon_area2(self.vertices) != 0:
@@ -275,9 +251,8 @@ class BoundingPolygon:
         return len(self.vertices) < 3 or polygon_area2(self.vertices) == 0
 
     def contains_point(self, x, y, strict: bool = True) -> bool:
-        if self.infeasible:
-            return False
-        return point_satisfies(self.faces, x, y, strict)
+        return bool(self.vertices) and \
+            point_satisfies(self.faces, x, y, strict)
 
     def bbox(self):
         if not self.vertices:
@@ -285,21 +260,36 @@ class BoundingPolygon:
         return polygon_bbox(self.vertices)
 
     def __repr__(self):
-        inner = "infeasible" if self.is_empty else \
+        inner = "empty" if self.is_empty else \
             " ".join(f"({float(x):.4g},{float(y):.4g})"
                      for x, y in self.vertices)
         return f"BoundingPolygon[{inner}]"
 
 
-def corner_bounding_polygon(code: CodeSequence,
-                            asg: AngleAssignment) -> BoundingPolygon:
-    """Bounds 0 < n*angle < 180 from the largest fan at each symbol."""
+def _between(form: AffineForm, upper: int):
+    """0 < form < upper as two halfplanes, scaled to integer triples."""
+    if form.t != 0:
+        raise ValueError("bound still mentions theta")
+    a, b, c = form.ax, form.ay, form.c * 90
+    d = lcm(a.denominator, b.denominator, c.denominator)
+    a, b, c = int(a * d), int(b * d), int(c * d)
+    return (a, b, c), (-a, -b, upper * d - c)
+
+
+def _corner_halfplanes(code: CodeSequence, asg: AngleAssignment):
+    """0 < n*angle < 180 from the largest fan n at each symbol."""
     mx: dict[str, int] = {}
     for i, v in enumerate(code.codes):
         s = asg.symbol(i + 1)
         mx[s] = max(mx.get(s, 0), v)
-    return BoundingPolygon([(n * symbol_value(s), Fraction(180))
-                            for s, n in sorted(mx.items())])
+    return [hp for s, n in sorted(mx.items())
+            for hp in _between(n * symbol_value(s), 180)]
+
+
+def corner_bounding_polygon(code: CodeSequence,
+                            asg: AngleAssignment) -> BoundingPolygon:
+    """Bounds 0 < n*angle < 180 from the largest fan at each symbol."""
+    return BoundingPolygon(_corner_halfplanes(code, asg))
 
 
 _POLYGON_CACHE: dict = {}
@@ -310,9 +300,9 @@ def angle_bounding_polygon(code: CodeSequence,
     """Bounds 0 < angle < 90 over every listed reflecting angle.
 
     With theta solved the forms are direct.  Otherwise every theta-carrying
-    form is averaged against every form carrying -theta (complements join
-    both pools), which cancels theta exactly; the corner bounds are merged
-    in at the end.
+    form is added to every form carrying -theta (complements join both
+    pools), which cancels theta exactly and bounds the sum by 0 and 180;
+    the corner bounds are merged in at the end.
     """
     cache_key = (tuple(code.codes), asg.symbol(1), asg.symbol(2))
     cached = _POLYGON_CACHE.get(cache_key)
@@ -320,10 +310,9 @@ def angle_bounding_polygon(code: CodeSequence,
         return cached
     forms = [f for fan in fan_angle_expansion(code, asg) for f in fan]
     theta = solve_theta(code, asg)
-    bounds = []
     if theta is not None:
-        for f in forms:
-            bounds.append((f.substitute_theta(theta), Fraction(90)))
+        halfplanes = [hp for f in forms
+                      for hp in _between(f.substitute_theta(theta), 90)]
     else:
         # integer triples (a, b, c): a*x + b*y + c in degrees, theta dropped
         plus, minus = set(), set()
@@ -332,16 +321,11 @@ def angle_bounding_polygon(code: CodeSequence,
             (plus if f.t > 0 else minus).add(tri)
         pool_p = plus | {(-a, -b, 90 - c) for a, b, c in minus}
         pool_m = minus | {(-a, -b, 90 - c) for a, b, c in plus}
-        sums = set()
-        for pa, pb, pc in pool_p:
-            for ma, mb, mc in pool_m:
-                sums.add((pa + ma, pb + mb, pc + mc))
-        half = Fraction(1, 2)
-        for a, b, c in sorted(sums):
-            bounds.append((AffineForm(a * half, b * half,
-                                      Fraction(c, 180), 0), Fraction(90)))
-    bounds.extend(corner_bounding_polygon(code, asg).bounds)
-    poly = BoundingPolygon(bounds)
+        sums = {(pa + ma, pb + mb, pc + mc)
+                for pa, pb, pc in pool_p for ma, mb, mc in pool_m}
+        halfplanes = [hp for a, b, c in sums
+                      for hp in ((a, b, c), (-a, -b, 180 - c))]
+    poly = BoundingPolygon(halfplanes + _corner_halfplanes(code, asg))
     _POLYGON_CACHE[cache_key] = poly
     return poly
 
@@ -376,7 +360,7 @@ def line_region(code: CodeSequence, asg: AngleAssignment):
     if a == 0 and b == 0:
         return LineRegion(line, None)
     poly = angle_bounding_polygon(code, asg)
-    if poly.infeasible:
+    if not poly.vertices:
         return LineRegion(line, None)
     seg = line_segment_in_halfplanes(line, poly.halfplanes)
     return LineRegion(line, seg)

@@ -8,23 +8,9 @@ closure, wound counterclockwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 BASE_TRIANGLE = ((Fraction(0), Fraction(0)), (Fraction(180), Fraction(0)),
                  (Fraction(0), Fraction(180)))
-
-
-def normalize_halfplane(a, b, c):
-    """Scale to primitive integer coefficients, preserving orientation."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a == 0 and b == 0:
-        raise ValueError("degenerate halfplane")
-    lcm = 1
-    for f in (a, b, c):
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ai, bi, ci = (int(f * lcm) for f in (a, b, c))
-    g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
-    return (Fraction(ai // g), Fraction(bi // g), Fraction(ci // g))
 
 
 def clip_polygon(vertices, halfplane):

@@ -291,9 +291,6 @@ class AffineForm:
             v += self.t * Fraction(theta)
         return v
 
-    def is_constant(self) -> bool:
-        return self.ax == 0 and self.ay == 0 and self.t == 0
-
     def __eq__(self, other):
         return (isinstance(other, AffineForm) and self.ax == other.ax
                 and self.ay == other.ay and self.c == other.c

@@ -206,7 +206,7 @@ def region_system(code: CodeSequence, asg=None) -> RegionSystem:
     """Compile a code into its certification system.
 
     Without an explicit assignment the first consistent one is taken.  An
-    infeasible polygon (or a line that misses it) leaves ``empty`` set; the
+    empty polygon (or a line that misses it) leaves ``empty`` set; the
     system is still returned so callers can report why nothing was claimed.
     """
     if asg is None:
@@ -517,6 +517,10 @@ class CoverResult:
             else:
                 raise ValueError(f"unrecognized cover line: {ln!r}")
         summary = dict(kv.split("=", 1) for kv in lines[-1].split()[1:])
+        missing = {"squares", "failures", "min-margin", "max-depth-used",
+                   "complete"} - summary.keys()
+        if missing:
+            raise ValueError(f"summary lacks {', '.join(sorted(missing))}")
         out = cls(target, corpus_size, precision, max_depth, records,
                   failures, int(summary["max-depth-used"]))
         mm = out.min_margin

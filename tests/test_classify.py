@@ -166,13 +166,14 @@ def test_corner_polygon():
     code = CodeSequence.parse("1 2 1 6")
     asg = assign_angles(code, "Y", "Z")
     poly = corner_bounding_polygon(code, asg)
-    got = sorted((coeffs(f), u) for f, u in poly.bounds)
-    assert got == [
-        ((-2, -2, 4, 0), F(180)),  # widest corner gap spans two z angles
-        ((0, 1, 0, 0), F(180)),
-        ((6, 0, 0, 0), F(180)),
+    assert poly.halfplanes == [
+        (-1, -1, 180),  # base triangle
+        (-1, 0, 30),    # 6x < 180
+        (0, -1, 180),   # y < 180
+        (0, 1, 0),
+        (1, 0, 0),
+        (1, 1, -90),    # 2z < 180: the widest corner gap spans two z angles
     ]
-    assert (F(-1), F(0), F(30)) in poly.halfplanes  # x < 30
 
 
 def test_acute_polygon():
@@ -182,6 +183,57 @@ def test_acute_polygon():
     assert poly.contains_point(F(60), F(60))
     assert not poly.contains_point(F(20), F(30))
     assert not poly.contains_point(F(90), F(45))  # boundary is excluded
+
+
+CONSTANT_ANGLE = CodeSequence.parse("1 1 1 2 2")  # a constant 0 degree angle
+CLIPS_TO_NOTHING = CodeSequence.parse("1 4 3 4")
+EMPTY_CASES = [(CONSTANT_ANGLE, asg)
+               for asg in all_assignments(CONSTANT_ANGLE)]
+EMPTY_CASES.append((CLIPS_TO_NOTHING,
+                    assign_angles(CLIPS_TO_NOTHING, "X", "Y")))
+
+
+@pytest.mark.parametrize("code, asg", EMPTY_CASES)
+def test_empty_polygon_contains_nothing(code, asg):
+    poly = angle_bounding_polygon(code, asg)
+    assert poly.vertices == []
+    assert poly.is_empty
+    assert poly.bbox() is None
+    assert not poly.contains_point(60, 60, strict=True)
+    assert not poly.contains_point(60, 60, strict=False)
+
+
+def test_line_region_of_empty_polygon_has_no_segment():
+    code = CLIPS_TO_NOTHING
+    region = line_region(code, assign_angles(code, "X", "Y"))
+    assert region.line == (1, 0, 1)
+    assert region.segment is None
+
+
+# (halfplanes, faces, vertices) under the first assignment; vertex order is
+# part of the output, since callers seed points from the vertices in order
+FROZEN_POLYGONS = {
+    120: (1156, 10, [  # OSNO, theta free
+        (F(1800, 17), F(960, 17)), (F(2430, 23), F(1305, 23)),
+        (F(12510, 121), F(7110, 121)), (F(1960, 19), F(1120, 19)),
+        (F(720, 7), F(414, 7)), (F(17100, 167), F(9900, 167)),
+        (F(205, 2), F(355, 6)), (F(105), F(57)),
+        (F(4545, 43), F(2430, 43))]),
+    42: (34, 20, [  # CS, theta solved
+        (F(1215, 11), F(585, 11)), (F(90), F(90)), (F(108), F(54))]),
+}
+
+
+@pytest.mark.parametrize("index", sorted(FROZEN_POLYGONS))
+def test_frozen_corpus_polygons(index):
+    entry = load_default_corpus()[index]
+    asg = all_assignments(entry.code)[0]
+    poly = angle_bounding_polygon(entry.code, asg)
+    halfplanes, faces, vertices = FROZEN_POLYGONS[index]
+    assert (solve_theta(entry.code, asg) is None) == (entry.kind == "OSNO")
+    assert len(poly.halfplanes) == halfplanes
+    assert len(poly.faces) == faces
+    assert poly.vertices == vertices
 
 
 def test_line_region_segment():

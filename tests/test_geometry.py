@@ -7,7 +7,6 @@ from billiardpath.geometry import (
     clip_polygon,
     intersect_halfplanes,
     line_segment_in_halfplanes,
-    normalize_halfplane,
     point_satisfies,
     polygon_area2,
     polygon_bbox,
@@ -15,14 +14,6 @@ from billiardpath.geometry import (
 )
 
 F = Fraction
-
-
-def test_normalize_halfplane_primitive():
-    assert normalize_halfplane(2, 4, 6) == (1, 2, 3)
-    assert normalize_halfplane(-2, 4, 6) == (-1, 2, 3)
-    # orientation preserved: (a, b) direction never flips
-    assert normalize_halfplane(0, -3, 9) == (0, -1, 3)
-    assert normalize_halfplane(F(1, 2), F(1, 3), F(5, 6)) == (3, 2, 5)
 
 
 def test_base_triangle_polygon():

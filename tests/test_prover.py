@@ -135,6 +135,17 @@ class TestRegionSystem:
         for f in pairs:
             assert f.eval(60, 60, 7).lo > 0
 
+    @pytest.mark.parametrize("text, kind", [("1 1 1 2 2", "band"),
+                                            ("1 4 3 4", "line")])
+    def test_empty_region_claims_nothing(self, text, kind):
+        code = CodeSequence.parse(text)
+        system = region_system(code, assign_angles(code, "X", "Y"))
+        assert (system.kind, system.empty) == (kind, True)
+        if kind == "line":
+            assert system.line.segment is None
+        cert = certify_square(system, Square(60, 60, 1))
+        assert (cert.status, cert.note) == ("fail", "empty region")
+
 
 class TestCertify:
     def test_acute_point_passes(self, orthic):
@@ -301,6 +312,10 @@ class TestCover:
             CoverResult.parse(text.rsplit("summary", 1)[0])
         with pytest.raises(ValueError):
             CoverResult.parse(text.replace(" p7", " q7"))
+        summary = text.rsplit("summary", 1)[0] + \
+            "summary squares=0 failures=0\n"
+        with pytest.raises(ValueError):
+            CoverResult.parse(summary)
 
 
 class TestTripleRule:
