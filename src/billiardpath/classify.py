@@ -11,14 +11,15 @@ region by a convex polygon, compiled straight to integer halfplane triples
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .geometry import (
-    intersect_halfplanes,
+    intersect_homogeneous,
     line_segment_in_halfplanes,
     point_satisfies,
     polygon_area2,
     polygon_bbox,
+    to_point,
 )
 from .numeric import AffineForm
 from .sequences import AngleAssignment, CodeSequence, assign_angles, \
@@ -28,6 +29,15 @@ CODE_TYPES = ("CS", "CNS", "OSO", "ONS", "OSNO")
 
 _ASSIGNMENT_ORDER = (("X", "Y"), ("X", "Z"), ("Y", "X"), ("Y", "Z"),
                      ("Z", "X"), ("Z", "Y"))
+
+
+def _integer_form(symbol: str):
+    """A symbol's angle as integers (ax, ay, c): ax*x + ay*y + c*90."""
+    w = symbol_value(symbol)
+    return int(w.ax), int(w.ay), int(w.c)
+
+
+_SYMBOL_FORMS = {s: _integer_form(s) for s in "XYZ"}
 
 
 def stability_defect(code: CodeSequence, asg: AngleAssignment):
@@ -87,11 +97,17 @@ def classify_code(code: CodeSequence) -> str:
 # --- shooting angles --------------------------------------------------
 
 def shooting_angle_sequence(code: CodeSequence, asg: AngleAssignment):
-    """First shooting angle of every fan, as affine forms carrying theta."""
-    phis = [AffineForm.var_theta()]
+    """First shooting angle of every fan, as integer forms (ax, ay, c, t).
+
+    A form stands for ax*x + ay*y + c*90 + t*theta degrees, the units of
+    ``AffineForm``.
+    """
+    phis = [(0, 0, 0, 1)]
     for i in range(len(code) - 1):
-        w = symbol_value(asg.symbol(i + 1))
-        phis.append(AffineForm.const(180) - phis[-1] - code.codes[i] * w)
+        wx, wy, wc = _SYMBOL_FORMS[asg.symbol(i + 1)]
+        n = code.codes[i]
+        ax, ay, c, t = phis[-1]
+        phis.append((-ax - n * wx, -ay - n * wy, 2 - c - n * wc, -t))
     return phis
 
 
@@ -101,18 +117,20 @@ def fan_angle_expansion(code: CodeSequence, asg: AngleAssignment):
     A fan with code n and vertex angle w entered at angle phi reflects at
     phi, phi+w, ... on the way in and at 180-phi-j*w on the way out; the
     exact middle bounce of an even fan (a right angle at the palindrome
-    pivots) is left out.
+    pivots) is left out.  Angles are integer forms as in
+    ``shooting_angle_sequence``.
     """
     phis = shooting_angle_sequence(code, asg)
     out = []
     for i, n in enumerate(code.codes):
-        w = symbol_value(asg.symbol(i + 1))
-        phi = phis[i]
+        wx, wy, wc = _SYMBOL_FORMS[asg.symbol(i + 1)]
+        ax, ay, c, t = phis[i]
         half = n // 2
         rise_top = half if n % 2 else half - 1
-        fan = [phi + j * w for j in range(rise_top + 1)]
-        for j in range(half + 1, n + 1):
-            fan.append(AffineForm.const(180) - phi - j * w)
+        fan = [(ax + j * wx, ay + j * wy, c + j * wc, t)
+               for j in range(rise_top + 1)]
+        fan += [(-ax - j * wx, -ay - j * wy, 2 - c - j * wc, -t)
+                for j in range(half + 1, n + 1)]
         out.append(fan)
     return out
 
@@ -137,11 +155,11 @@ def solve_theta(code: CodeSequence, asg: AngleAssignment):
     if not pivots:
         return None
     p = pivots[0]
-    phi = shooting_angle_sequence(code, asg)[p - 1]
+    ax, ay, phi_c, t = shooting_angle_sequence(code, asg)[p - 1]
     target = (AffineForm.const(180) - c[p - 1] * symbol_value(asg.symbol(p))) \
         * Fraction(1, 2)
-    rest = AffineForm(phi.ax, phi.ay, phi.c, 0)
-    return (target - rest) * (1 if phi.t > 0 else -1)
+    rest = AffineForm(ax, ay, phi_c, 0)
+    return (target - rest) * (1 if t > 0 else -1)
 
 
 # --- unstable lines ---------------------------------------------------
@@ -213,36 +231,40 @@ class BoundingPolygon:
     a*x + b*y + c > 0 in degrees; the open base triangle is always added.
     A triple with a = b = 0 is a constant bound: it holds when c > 0 and
     otherwise makes the region empty.  ``halfplanes`` keeps the tightest
-    triple per direction, as sorted primitive integer triples.  ``vertices``
-    is the clipped closure, empty when the region is.
+    triple per direction, as sorted primitive integer triples.  They are
+    clipped in that order on integer homogeneous vertices (X, Y, W), W > 0,
+    and ``faces`` is picked on those; ``vertices`` is the clipped closure
+    as Fraction pairs, empty when the region is.
     """
 
     __slots__ = ("halfplanes", "vertices", "faces")
 
     def __init__(self, halfplanes):
         feasible = True
-        # primitive direction (a, b) -> tightest offset c
-        best = {(1, 0): Fraction(0), (0, 1): Fraction(0),
-                (-1, -1): Fraction(180)}
+        # primitive direction (a, b) -> tightest offset c/g, kept as (c, g)
+        best = {(1, 0): (0, 1), (0, 1): (0, 1), (-1, -1): (180, 1)}
         for a, b, c in halfplanes:
             g = gcd(a, b)
             if g == 0:
                 feasible = feasible and c > 0
                 continue
-            key, off = (a // g, b // g), Fraction(c, g)
-            if key not in best or off < best[key]:
-                best[key] = off
-        self.halfplanes = sorted(
-            (a * off.denominator, b * off.denominator, off.numerator)
-            for (a, b), off in best.items())
-        self.vertices = intersect_halfplanes(self.halfplanes) \
-            if feasible else []
+            key = (a // g, b // g)
+            old = best.get(key)
+            if old is None or c * old[1] < old[0] * g:
+                best[key] = (c, g)
+        primitive = []
+        for (a, b), (c, g) in best.items():
+            r = gcd(c, g)
+            primitive.append((a * (g // r), b * (g // r), c // r))
+        self.halfplanes = sorted(primitive)
+        hull = intersect_homogeneous(self.halfplanes) if feasible else []
+        self.vertices = [to_point(v) for v in hull]
         # constraints tight somewhere on the result delimit the same region
         # as the whole set; point and segment tests use just those
-        if len(self.vertices) >= 3 and polygon_area2(self.vertices) != 0:
+        if len(hull) >= 3 and polygon_area2(self.vertices) != 0:
             self.faces = [hp for hp in self.halfplanes
-                          if min(hp[0] * vx + hp[1] * vy + hp[2]
-                                 for vx, vy in self.vertices) == 0]
+                          if min(hp[0] * X + hp[1] * Y + hp[2] * W
+                                 for X, Y, W in hull) == 0]
         else:
             self.faces = self.halfplanes
 
@@ -266,14 +288,9 @@ class BoundingPolygon:
         return f"BoundingPolygon[{inner}]"
 
 
-def _between(form: AffineForm, upper: int):
-    """0 < form < upper as two halfplanes, scaled to integer triples."""
-    if form.t != 0:
-        raise ValueError("bound still mentions theta")
-    a, b, c = form.ax, form.ay, form.c * 90
-    d = lcm(a.denominator, b.denominator, c.denominator)
-    a, b, c = int(a * d), int(b * d), int(c * d)
-    return (a, b, c), (-a, -b, upper * d - c)
+def _between(a: int, b: int, c: int):
+    """0 < a*x + b*y + c < 180 as two halfplane triples."""
+    return (a, b, c), (-a, -b, 180 - c)
 
 
 def _corner_halfplanes(code: CodeSequence, asg: AngleAssignment):
@@ -282,8 +299,11 @@ def _corner_halfplanes(code: CodeSequence, asg: AngleAssignment):
     for i, v in enumerate(code.codes):
         s = asg.symbol(i + 1)
         mx[s] = max(mx.get(s, 0), v)
-    return [hp for s, n in sorted(mx.items())
-            for hp in _between(n * symbol_value(s), 180)]
+    out = []
+    for s, n in sorted(mx.items()):
+        wx, wy, wc = _SYMBOL_FORMS[s]
+        out += _between(n * wx, n * wy, n * wc * 90)
+    return out
 
 
 def corner_bounding_polygon(code: CodeSequence,
@@ -299,10 +319,11 @@ def angle_bounding_polygon(code: CodeSequence,
                            asg: AngleAssignment) -> BoundingPolygon:
     """Bounds 0 < angle < 90 over every listed reflecting angle.
 
-    With theta solved the forms are direct.  Otherwise every theta-carrying
-    form is added to every form carrying -theta (complements join both
-    pools), which cancels theta exactly and bounds the sum by 0 and 180;
-    the corner bounds are merged in at the end.
+    With theta solved each form is doubled, which keeps it integer, and
+    bounded by 0 and 180.  Otherwise every theta-carrying form is added to
+    every form carrying -theta (complements join both pools), which cancels
+    theta exactly and bounds the sum by 0 and 180; the corner bounds are
+    merged in at the end.
     """
     cache_key = (tuple(code.codes), asg.symbol(1), asg.symbol(2))
     cached = _POLYGON_CACHE.get(cache_key)
@@ -311,20 +332,21 @@ def angle_bounding_polygon(code: CodeSequence,
     forms = [f for fan in fan_angle_expansion(code, asg) for f in fan]
     theta = solve_theta(code, asg)
     if theta is not None:
-        halfplanes = [hp for f in forms
-                      for hp in _between(f.substitute_theta(theta), 90)]
+        # solve_theta halves an integer form, so 2*theta is integral
+        tx, ty, tc = int(2 * theta.ax), int(2 * theta.ay), int(2 * theta.c)
+        halfplanes = [hp for ax, ay, c, t in forms
+                      for hp in _between(2 * ax + t * tx, 2 * ay + t * ty,
+                                         (2 * c + t * tc) * 90)]
     else:
         # integer triples (a, b, c): a*x + b*y + c in degrees, theta dropped
         plus, minus = set(), set()
-        for f in forms:
-            tri = (int(f.ax), int(f.ay), int(f.c) * 90)
-            (plus if f.t > 0 else minus).add(tri)
+        for ax, ay, c, t in forms:
+            (plus if t > 0 else minus).add((ax, ay, c * 90))
         pool_p = plus | {(-a, -b, 90 - c) for a, b, c in minus}
         pool_m = minus | {(-a, -b, 90 - c) for a, b, c in plus}
         sums = {(pa + ma, pb + mb, pc + mc)
                 for pa, pb, pc in pool_p for ma, mb, mc in pool_m}
-        halfplanes = [hp for a, b, c in sums
-                      for hp in ((a, b, c), (-a, -b, 180 - c))]
+        halfplanes = [hp for s in sums for hp in _between(*s)]
     poly = BoundingPolygon(halfplanes + _corner_halfplanes(code, asg))
     _POLYGON_CACHE[cache_key] = poly
     return poly
@@ -362,5 +384,5 @@ def line_region(code: CodeSequence, asg: AngleAssignment):
     poly = angle_bounding_polygon(code, asg)
     if not poly.vertices:
         return LineRegion(line, None)
-    seg = line_segment_in_halfplanes(line, poly.halfplanes)
+    seg = line_segment_in_halfplanes(line, poly.faces)
     return LineRegion(line, seg)

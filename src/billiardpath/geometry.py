@@ -1,32 +1,47 @@
 """Exact rational halfplane and polygon helpers.
 
-Everything works over Fractions in the (x, y) angle plane.  A halfplane is a
-triple (a, b, c) meaning a*x + b*y + c > 0; polygons are vertex lists of the
-closure, wound counterclockwise.
+Points live in the (x, y) angle plane with exact rational coordinates.  A
+halfplane is a triple (a, b, c) meaning a*x + b*y + c > 0; polygons are
+vertex lists of the closure, wound counterclockwise.  Clipping runs on
+integers only: a vertex is a reduced homogeneous triple (X, Y, W) with
+W > 0, standing for the point (X/W, Y/W), and vertices become Fraction
+pairs only when a result is handed out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 BASE_TRIANGLE = ((Fraction(0), Fraction(0)), (Fraction(180), Fraction(0)),
                  (Fraction(0), Fraction(180)))
+_BASE_HOMOGENEOUS = ((0, 0, 1), (180, 0, 1), (0, 180, 1))
 
 
-def clip_polygon(vertices, halfplane):
-    """Clip a convex polygon's closure against a*x + b*y + c >= 0."""
-    a, b, c = halfplane
+def _clip(poly, a, b, c):
+    """Clip homogeneous vertices against a*X + b*Y + c*W >= 0.
+
+    Returns ``poly`` itself when no vertex lies outside, so ``poly`` must
+    list no vertex twice in a row, cyclically; no result of this function
+    does.
+    """
+    vals = [a * X + b * Y + c * W for X, Y, W in poly]
+    if min(vals) >= 0:
+        return poly
     out = []
-    n = len(vertices)
-    for i in range(n):
-        p, q = vertices[i], vertices[(i + 1) % n]
-        fp = a * p[0] + b * p[1] + c
-        fq = a * q[0] + b * q[1] + c
+    for p, q, fp, fq in zip(poly, poly[1:] + poly[:1],
+                            vals, vals[1:] + vals[:1]):
         if fp >= 0:
             out.append(p)
         if (fp > 0 and fq < 0) or (fp < 0 and fq > 0):
-            t = fp / (fp - fq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            # fp*q - fq*p is where the edge meets the line; W > 0 when fp > 0
+            if fp < 0:
+                fp, fq = -fp, -fq
+            X = fp * q[0] - fq * p[0]
+            Y = fp * q[1] - fq * p[1]
+            W = fp * q[2] - fq * p[2]
+            g = gcd(X, Y, W)
+            out.append((X // g, Y // g, W // g))
     dedup = []
     for v in out:
         if not dedup or v != dedup[-1]:
@@ -36,14 +51,52 @@ def clip_polygon(vertices, halfplane):
     return dedup
 
 
-def intersect_halfplanes(halfplanes, base=BASE_TRIANGLE):
-    """Vertices of the closure of the intersection, possibly empty."""
-    poly = list(base)
-    for hp in halfplanes:
-        poly = clip_polygon(poly, hp)
+def to_point(vertex):
+    """The rational point (X/W, Y/W) of a homogeneous vertex."""
+    X, Y, W = vertex
+    return Fraction(X, W), Fraction(Y, W)
+
+
+def _homogeneous(point):
+    x, y = point
+    w = lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator),
+            y.numerator * (w // y.denominator), w)
+
+
+def clip_polygon(vertices, halfplane):
+    """Clip a convex polygon's closure against a*x + b*y + c >= 0.
+
+    Vertices and coefficients may be any rationals; no vertex may follow
+    itself, cyclically.
+    """
+    if not vertices:
+        return []
+    a, b, c = (Fraction(v) for v in halfplane)
+    d = lcm(a.denominator, b.denominator, c.denominator)
+    poly = _clip([_homogeneous(v) for v in vertices],
+                 int(a * d), int(b * d), int(c * d))
+    return [to_point(v) for v in poly]
+
+
+def intersect_homogeneous(halfplanes):
+    """Homogeneous vertices of the closure of the base triangle cut by
+    integer halfplanes, clipped in the order given; empty when nothing is
+    left."""
+    poly = list(_BASE_HOMOGENEOUS)
+    for a, b, c in halfplanes:
+        poly = _clip(poly, a, b, c)
         if not poly:
             return []
     return poly
+
+
+def intersect_halfplanes(halfplanes):
+    """Vertices of the closure of the intersection, possibly empty.
+
+    The halfplanes are integer triples, cut from ``BASE_TRIANGLE``.
+    """
+    return [to_point(v) for v in intersect_homogeneous(halfplanes)]
 
 
 def polygon_area2(vertices) -> Fraction:

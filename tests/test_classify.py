@@ -1,5 +1,6 @@
 """Classification, shooting angles, and bounding regions."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -28,6 +29,9 @@ F = Fraction
 
 
 def coeffs(form):
+    """(ax, ay, c, t) of an integer form tuple or of an ``AffineForm``."""
+    if isinstance(form, tuple):
+        return form
     return form.ax, form.ay, form.c, form.t
 
 
@@ -234,6 +238,26 @@ def test_frozen_corpus_polygons(index):
     assert len(poly.halfplanes) == halfplanes
     assert len(poly.faces) == faces
     assert poly.vertices == vertices
+
+
+# sha256 of repr((halfplanes, vertices, faces)) of every corpus entry under
+# every assignment, in corpus order: any change to a number or to the order
+# of a list changes it
+CORPUS_POLYGON_DIGEST = \
+    "bc4cf1c2c02d4a6701a50faa2a8156df73de70e567a4cec4fa291039867eea32"
+
+
+def test_frozen_corpus_polygon_digest():
+    digest = hashlib.sha256()
+    plans = 0
+    for entry in load_default_corpus():
+        for asg in all_assignments(entry.code):
+            poly = angle_bounding_polygon(entry.code, asg)
+            digest.update(
+                repr((poly.halfplanes, poly.vertices, poly.faces)).encode())
+            plans += 1
+    assert plans == 804
+    assert digest.hexdigest() == CORPUS_POLYGON_DIGEST
 
 
 def test_line_region_segment():
