@@ -57,8 +57,10 @@ def to_point(vertex):
     return Fraction(X, W), Fraction(Y, W)
 
 
-def _homogeneous(point):
-    x, y = point
+def to_homogeneous(point):
+    """The reduced homogeneous triple (X, Y, W), W > 0, of a rational
+    point."""
+    x, y = Fraction(point[0]), Fraction(point[1])
     w = lcm(x.denominator, y.denominator)
     return (x.numerator * (w // x.denominator),
             y.numerator * (w // y.denominator), w)
@@ -74,7 +76,7 @@ def clip_polygon(vertices, halfplane):
         return []
     a, b, c = (Fraction(v) for v in halfplane)
     d = lcm(a.denominator, b.denominator, c.denominator)
-    poly = _clip([_homogeneous(v) for v in vertices],
+    poly = _clip([to_homogeneous(v) for v in vertices],
                  int(a * d), int(b * d), int(c * d))
     return [to_point(v) for v in poly]
 
@@ -117,9 +119,12 @@ def polygon_bbox(vertices):
 
 
 def point_satisfies(halfplanes, x, y, strict: bool = True) -> bool:
-    x, y = Fraction(x), Fraction(y)
+    """Whether (x, y) satisfies every a*x + b*y + c > 0 (>= 0 when not
+    strict).  Each halfplane is tested as a*X + b*Y + c*W on the point's
+    homogeneous triple, W > 0, which keeps integer halfplanes in ``int``."""
+    X, Y, W = to_homogeneous((x, y))
     for a, b, c in halfplanes:
-        v = a * x + b * y + c
+        v = a * X + b * Y + c * W
         if v < 0 or (strict and v == 0):
             return False
     return True

@@ -4,6 +4,12 @@ Angles are rational numbers of degrees throughout.  Radians appear only
 inside the sine and cosine enclosures, which scale by a rational bracket of
 pi; nothing in this module touches floating point, and there is no interval
 division anywhere.
+
+The enclosure kernel ``sin_scaled`` takes an angle as an integer ratio and
+returns integers on the 10^-precision grid: it folds, runs the Taylor
+series, adds the pi bracket's slack and rounds outward without building a
+single ``Fraction``.  ``enclose_sin`` and ``enclose_cos`` wrap its result in
+an ``Interval``; the prover calls it directly.
 """
 
 from __future__ import annotations
@@ -179,38 +185,50 @@ def _sin_series_bracket(t_num: int, t_den: int, scale: int) -> tuple[int, int]:
         term_hi = _cdiv(term_hi * t2n, d)
 
 
-# folded angles with rational sine values
-_EXACT_SIN = {Fraction(0): Fraction(0), Fraction(30): Fraction(1, 2),
-              Fraction(90): Fraction(1)}
+def sin_scaled(num: int, den: int, precision: int) -> tuple[int, int]:
+    """sin(num/den degrees) as integers (lo, hi) times 10^-precision, rounded
+    outward; ``den`` must be positive.
+
+    The angle is folded into [0, 90] on ``num`` alone.  The rational values
+    0, 1/2 and 1 come back exact; otherwise the series runs on the lower pi
+    bracket, and the pi bracket's slack (|sin'| <= 1) and the outward
+    rounding onto the grid are one floor and one ceiling division.
+    """
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision {precision} below minimum {MIN_PRECISION}")
+    full = 180 * den
+    num %= 2 * full
+    neg = num > full
+    if neg:
+        num -= full
+    if 2 * num > full:
+        num = full - num
+    s = 10 ** precision
+    # folded angles with rational sine values: 0, 30 and 90 degrees
+    exact = {0: 0, 30 * den: s // 2, 90 * den: s}.get(num)
+    if exact is not None:
+        return (-exact, -exact) if neg else (exact, exact)
+    work = precision + _GUARD
+    p_lo, p_hi = _pi_bracket(work)
+    t_num, t_den = num * p_lo, full * 10 ** work
+    g = gcd(t_num, t_den)
+    s_lo, s_hi = _sin_series_bracket(t_num // g, t_den // g, 10 ** work)
+    # |sin'| <= 1, so the pi bracket widens both ends by
+    # num*(p_hi - p_lo) / (full*10^work); on the 10^-precision grid the ends
+    # are (s_lo*full - slack) and (s_hi*full + slack) over full*10^_GUARD
+    slack = num * (p_hi - p_lo)
+    d = full * 10 ** _GUARD
+    lo = max((s_lo * full - slack) // d, 0)
+    hi = min(_cdiv(s_hi * full + slack, d), s)
+    return (-hi, -lo) if neg else (lo, hi)
 
 
 def enclose_sin(angle, precision: int = MIN_PRECISION) -> Interval:
     """Rigorous enclosure of sin(angle degrees) on the 10^-precision grid."""
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision {precision} below minimum {MIN_PRECISION}")
-    a = Fraction(angle) % 360
-    neg = False
-    if a > 180:
-        a -= 180
-        neg = True
-    if a > 90:
-        a = 180 - a
-    exact = _EXACT_SIN.get(a)
-    if exact is not None:
-        v = -exact if neg else exact
-        return Interval(v, v)
-    work = precision + _GUARD
-    scale = 10 ** work
-    p_lo, p_hi = _pi_bracket(work)
-    p_scale = 10 ** work
-    t = a * Fraction(p_lo, p_scale) / 180
-    s_lo, s_hi = _sin_series_bracket(t.numerator, t.denominator, scale)
-    # |sin'| <= 1, so the slack from the pi bracket widens both ends
-    slack = a * Fraction(p_hi - p_lo, p_scale) / 180
-    lo = max(Fraction(s_lo, scale) - slack, Fraction(0))
-    hi = min(Fraction(s_hi, scale) + slack, Fraction(1))
-    iv = Interval(-hi, -lo) if neg else Interval(lo, hi)
-    return quantize_outward(iv, precision)
+    a = Fraction(angle)
+    lo, hi = sin_scaled(a.numerator, a.denominator, precision)
+    s = 10 ** precision
+    return Interval(Fraction(lo, s), Fraction(hi, s))
 
 
 def enclose_cos(angle, precision: int = MIN_PRECISION) -> Interval:

@@ -14,6 +14,11 @@ take over near the thin-triangle corner.
 Everything on the certification path is exact: rational centers, integer
 coefficients, and enclosures rounded outward on a fixed decimal grid, so a
 positive verdict is a proof and a cover file is reproducible bit for bit.
+Its inner loops run on integers: corner tests evaluate the polygon's
+integer faces on homogeneous triples (X, Y, W), each atom's enclosure comes
+straight from the scaled-integer kernel ``numeric.sin_scaled`` with the
+center as (X, Y, W), and the sweep bumps are integer ceiling divisions, so
+no ``Fraction`` or ``Interval`` is built per atom or per row.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from fractions import Fraction
 
 from .classify import angle_bounding_polygon, is_stable, line_region
 from .geometry import (clip_polygon, line_segment_in_halfplanes,
-                       polygon_area2, polygon_bbox, segment_midpoint)
-from .numeric import (MIN_PRECISION, TrigPoly, enclose_cos, enclose_sin,
-                      pi_enclosure)
+                       polygon_area2, polygon_bbox, segment_midpoint,
+                       to_homogeneous)
+from .numeric import MIN_PRECISION, TrigPoly, pi_enclosure, sin_scaled
 from .sequences import CodeSequence, all_assignments
 from .tower import BLACK, pruned_key_points, symbolic_tower
 
@@ -258,21 +263,29 @@ def _rad_per_degree_upper(precision: int) -> Fraction:
     return got
 
 
-def _ceil(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
+def _ceil_times(q: Fraction, k: int) -> int:
+    """ceil(q * k) for an integer k, without building the product."""
+    return -((-k * q.numerator) // q.denominator)
 
 
-def _atom_bounds(atoms, x, y, precision, cache):
-    """Scaled-integer enclosures of every atom at one rational point."""
+def _atom_bounds(atoms, center, precision, cache):
+    """Scaled-integer enclosures of every atom at one rational point.
+
+    ``cache`` maps (kind, m, n) to bounds and belongs to one point and one
+    precision.  The point goes in as a homogeneous integer triple (X, Y, W),
+    so each argument m*x + n*y (plus 90 for a cosine) is the integer ratio
+    (m*X + n*Y (+ 90*W)) / W handed to the kernel as it is.
+    """
+    X, Y, W = to_homogeneous(center)
     out = []
-    for k, m, n in atoms:
-        key = (k, m, n, x, y)
+    for key in atoms:
         got = cache.get(key)
         if got is None:
-            ang = m * x + n * y
-            iv = enclose_sin(ang, precision) if k == "sin" \
-                else enclose_cos(ang, precision)
-            got = cache[key] = iv.scaled_bounds(precision)
+            k, m, n = key
+            num = m * X + n * Y
+            if k == "cos":
+                num += 90 * W
+            got = cache[key] = sin_scaled(num, W, precision)
         out.append(got)
     return out
 
@@ -319,7 +332,7 @@ def certify_square(system: RegionSystem, square: Square,
         center = segment_midpoint(chord)
     scale = 10 ** precision
     cache: dict = {}
-    bounds = _atom_bounds(system.atoms, center[0], center[1], precision, cache)
+    bounds = _atom_bounds(system.atoms, center, precision, cache)
     base = _rad_per_degree_upper(precision) * square.r * scale
     black_min = blue_max = None
     black_hi_min = blue_lo_max = None
@@ -334,7 +347,7 @@ def certify_square(system: RegionSystem, square: Square,
             else:
                 lo += ci * ahi
                 hi += ci * alo
-        bump = _ceil(base * g)
+        bump = _ceil_times(base, g)
         evals.append((is_black, lo, hi, bump))
         if is_black:
             swept = lo - bump
@@ -362,7 +375,7 @@ def certify_square(system: RegionSystem, square: Square,
     # derivative's own coefficient-sum sweep.  Never looser than the plain
     # bump, so passes already issued are unaffected.
     datoms, drows = system.deriv_rows()
-    dbounds = _atom_bounds(datoms, center[0], center[1], precision, cache)
+    dbounds = _atom_bounds(datoms, center, precision, cache)
     rad = _rad_per_degree_upper(precision) * square.r
     black_min = blue_max = None
     for (is_black, lo, hi, bump), parts in zip(evals, drows):
@@ -377,8 +390,8 @@ def certify_square(system: RegionSystem, square: Square,
                 else:
                     dlo += ci * ahi
                     dhi += ci * alo
-            sup += max(abs(dlo), abs(dhi)) + _ceil(base * g2)
-        bump2 = min(bump, _ceil(rad * sup))
+            sup += max(abs(dlo), abs(dhi)) + _ceil_times(base, g2)
+        bump2 = min(bump, _ceil_times(rad, sup))
         if is_black:
             swept = lo - bump2
             if black_min is None or swept < black_min:

@@ -9,11 +9,16 @@ from billiardpath.numeric import (
     AffineForm,
     Interval,
     TrigPoly,
+    _GUARD,
+    _pi_bracket,
+    _sin_series_bracket,
     enclose_cos,
     enclose_sin,
     half_pi_enclosure,
     pi_enclosure,
+    quantize_outward,
     simplify,
+    sin_scaled,
 )
 
 
@@ -88,6 +93,100 @@ def test_enclosure_soundness_random_sample():
 def test_minimum_precision_enforced():
     with pytest.raises(ValueError):
         enclose_sin(10, 6)
+    # the precision floor is checked before the exact-value shortcuts
+    for ang in (0, 30, 90):
+        with pytest.raises(ValueError):
+            enclose_sin(ang, 6)
+        with pytest.raises(ValueError):
+            enclose_cos(ang, 6)
+        with pytest.raises(ValueError):
+            sin_scaled(ang, 1, 6)
+
+
+def reference_enclose_sin(angle, precision):
+    """The enclosure in Fraction arithmetic, as it was computed before the
+    integer kernel: the reference the kernel must match endpoint for
+    endpoint."""
+    if precision < 7:
+        raise ValueError(f"precision {precision} below minimum 7")
+    a = F(angle) % 360
+    neg = False
+    if a > 180:
+        a -= 180
+        neg = True
+    if a > 90:
+        a = 180 - a
+    exact = {F(0): F(0), F(30): F(1, 2), F(90): F(1)}.get(a)
+    if exact is not None:
+        v = -exact if neg else exact
+        return Interval(v, v)
+    work = precision + _GUARD
+    scale = 10 ** work
+    p_lo, p_hi = _pi_bracket(work)
+    t = a * F(p_lo, scale) / 180
+    s_lo, s_hi = _sin_series_bracket(t.numerator, t.denominator, scale)
+    slack = a * F(p_hi - p_lo, scale) / 180
+    lo = max(F(s_lo, scale) - slack, F(0))
+    hi = min(F(s_hi, scale) + slack, F(1))
+    iv = Interval(-hi, -lo) if neg else Interval(lo, hi)
+    return quantize_outward(iv, precision)
+
+
+# Angles whose series bound lands exactly on a grid point at precision 7,
+# 14 or 30 (lower end, then upper end; found by bisection on the bound), so
+# that only the pi bracket's slack pushes the rounded end one step outward.
+GRID_EDGE_ANGLES = (
+    F(200000034555988179, 10 ** 16),
+    F(31250003168857033, 625 * 10 ** 12),
+    F(2000000000000007725012017, 10 ** 23),
+    F(5000000000000017513522493, 10 ** 23),
+    F(10000000000000000000000000000022572762551, 5 * 10 ** 38),
+    F(50000000000000000000000000000051995623053, 10 ** 39),
+)
+
+
+def kernel_angles():
+    rng = random.Random(20261018)
+    angles = [F(15 * k) for k in range(-60, 61)]          # exact and near
+    angles += [a for e in GRID_EDGE_ANGLES for a in (e, -e, 180 - e)]
+    angles += [F(k, 2) for k in range(-1441, 1442, 37)]   # half degrees
+    angles += [F(rng.randrange(-10 ** 5, 10 ** 5), 7) for _ in range(40)]
+    angles += [F(rng.choice((-1, 1)) * rng.randrange(721 * 10 ** 6,
+                                                     10 ** 10), 10 ** 6)
+               for _ in range(40)]                         # beyond +-720
+    angles += [F(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 6))
+               for _ in range(120)]
+    return angles
+
+
+def test_sin_kernel_matches_fraction_reference():
+    rng = random.Random(5)
+    for ang in kernel_angles():
+        for p in (7, 8, 14, 30):
+            ref = reference_enclose_sin(ang, p)
+            s = 10 ** p
+            assert enclose_sin(ang, p) == ref, (ang, p)
+            assert enclose_cos(ang, p) == reference_enclose_sin(ang + 90, p)
+            # the kernel takes any representation of the ratio
+            k = rng.randrange(1, 1000)
+            lo, hi = sin_scaled(ang.numerator * k, ang.denominator * k, p)
+            assert (F(lo, s), F(hi, s)) == (ref.lo, ref.hi), (ang, k, p)
+
+
+def test_sin_kernel_contains_mpmath_value():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        slack = mpmath.mpf(10) ** -45  # mpmath's own rounding
+        for ang in kernel_angles()[::3]:
+            rad = mpmath.mpf(ang.numerator) / ang.denominator * mpmath.pi / 180
+            for p in (7, 14, 30):
+                s = 10 ** p
+                for num, value in ((ang.numerator, mpmath.sin(rad)),
+                                   (ang.numerator + 90 * ang.denominator,
+                                    mpmath.cos(rad))):
+                    lo, hi = sin_scaled(num, ang.denominator, p)
+                    assert mpmath.mpf(lo) / s - slack <= value, (ang, p)
+                    assert value <= mpmath.mpf(hi) / s + slack, (ang, p)
 
 
 def test_simplify_square_of_sine():

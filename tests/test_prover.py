@@ -6,6 +6,7 @@ machinery directly, cross-checked against the straightened-chain tests at
 sample points, before being frozen here.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,20 @@ class TestCover:
         # cover that splits twice, frozen byte for byte
         res = cover([(40, 50), (80, 50), (60, 80)], [ORTHIC], max_depth=3)
         assert res.to_text() == MULTI_LEVEL_COVER
+
+    def test_frozen_deep_cover_digest(self):
+        # x in [23/2, 12], y in [257/4, 129/2] against five corpus codes:
+        # a six-level, 141-square cover whose text (every center, margin
+        # and precision) was frozen as a sha256 before the enclosures and
+        # corner tests moved to integer arithmetic
+        corpus = load_default_corpus()
+        res = cover([(F(23, 2), F(257, 4)), (F(12), F(257, 4)),
+                     (F(12), F(129, 2)), (F(23, 2), F(129, 2))],
+                    [corpus[i] for i in (21, 43, 90, 91, 100)])
+        assert res.complete
+        assert res.square_count == 141
+        assert hashlib.sha256(res.to_text().encode()).hexdigest() == \
+            "0df454ee77399ac082dfc77cc57b5c0be0e4ea7d65bca7c95c2fba1843fdaab9"
 
     def test_unstable_codes_build_no_polygon(self, monkeypatch):
         seen = []
