@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .classify import (angle_bounding_polygon, canonical_unstable_line,
@@ -114,6 +116,29 @@ def _assignment(code: CodeSequence, letters):
         return assign_angles(code, letters[0].upper(), letters[1].upper())
     except ValueError as exc:
         raise _InputError(str(exc))
+
+
+def _check_writable(path: str) -> None:
+    """Fail before a long run when ``path`` cannot be opened for writing;
+    a file the probe creates is removed again."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}")
+    if not existed:
+        os.remove(path)
+
+
+@contextmanager
+def _writing(path: str):
+    """Turn a failure to write ``path`` into an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}")
+    print(f"wrote {path}")
 
 
 def _triangle(at) -> Triangle:
@@ -303,20 +328,22 @@ def cmd_cover(args) -> int:
             corpus = load_corpus(args.corpus)
         except (OSError, ValueError) as exc:
             raise _InputError(str(exc))
+    for path in (args.output, args.svg):
+        if path:
+            _check_writable(path)
     try:
         result = cover(target, corpus, precision=args.precision,
                        max_depth=args.max_depth)
     except ValueError as exc:
         raise _InputError(str(exc))
     if args.output:
-        result.write(args.output)
-        print(f"wrote {args.output}")
+        with _writing(args.output):
+            result.write(args.output)
     else:
         sys.stdout.write(result.to_text())
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as f:
+        with _writing(args.svg), open(args.svg, "w", encoding="utf-8") as f:
             f.write(_cover_svg(result))
-        print(f"wrote {args.svg}")
     margin = result.min_margin
     print(f"squares={result.square_count} failures={len(result.failures)} "
           f"min-margin={'none' if margin is None else margin} "
@@ -362,9 +389,8 @@ def cmd_tower(args) -> int:
             f", {v.blue_count} blue x {v.black_count} black"
         print(f"{name}: {v.status}{extra}")
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as f:
+        with _writing(args.svg), open(args.svg, "w", encoding="utf-8") as f:
             f.write(_tower_svg(tower))
-        print(f"wrote {args.svg}")
     return 0
 
 

@@ -10,13 +10,18 @@ returns integers on the 10^-precision grid: it folds, runs the Taylor
 series, adds the pi bracket's slack and rounds outward without building a
 single ``Fraction``.  ``enclose_sin`` and ``enclose_cos`` wrap its result in
 an ``Interval``; the prover calls it directly.
+
+A ``TrigPoly`` keeps its coefficients as integers over one common
+denominator in lowest terms.  Product-to-sum rewriting halves and
+``simplify`` doubles, so the towers' sums only ever meet powers of two,
+and sums and products run on ``int``; ``terms`` gives the exact rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 MIN_PRECISION = 7
 _GUARD = 8  # extra working digits behind every enclosure
@@ -266,10 +271,6 @@ class AffineForm:
         # third triangle angle, 180 - x - y
         return cls(-1, -1, 2, 0)
 
-    @classmethod
-    def var_theta(cls) -> "AffineForm":
-        return cls(0, 0, 0, 1)
-
     def __add__(self, other):
         o = other if isinstance(other, AffineForm) else AffineForm.const(other)
         return AffineForm(self.ax + o.ax, self.ay + o.ay, self.c + o.c,
@@ -293,13 +294,6 @@ class AffineForm:
         return AffineForm(self.ax * k, self.ay * k, self.c * k, self.t * k)
 
     __rmul__ = __mul__
-
-    def substitute_theta(self, theta: "AffineForm") -> "AffineForm":
-        if theta.t != 0:
-            raise ValueError("theta expression may not mention theta")
-        return AffineForm(self.ax + self.t * theta.ax,
-                          self.ay + self.t * theta.ay,
-                          self.c + self.t * theta.c, 0)
 
     def eval(self, x, y, theta=None) -> Fraction:
         v = self.ax * Fraction(x) + self.ay * Fraction(y) + self.c * 90
@@ -369,20 +363,46 @@ class TrigPoly:
     """Finite sum  sum of u * sin(m*x + n*y)  and  v * cos(m*x + n*y).
 
     Arguments are integer combinations of the two angle variables; the
-    constant term rides along as cos(0).  Coefficients are exact rationals.
+    constant term rides along as cos(0).  Coefficients are exact rationals,
+    held as integers ``coeffs`` over one positive common denominator
+    ``den`` in lowest terms.  Products only ever halve, so every sum the
+    towers build has a power-of-two denominator, and products and sums run
+    on ``int``; ``terms`` hands out the coefficients as ``Fraction``s.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeffs", "den")
 
     def __init__(self, terms=None):
-        self.terms: dict[tuple[str, int, int], Fraction] = {}
+        acc: dict = {}
         if terms:
             for key, coeff in (terms.items() if isinstance(terms, dict)
                                else terms):
                 if coeff:
-                    self.terms[key] = self.terms.get(key, Fraction(0)) + coeff
-                    if not self.terms[key]:
-                        del self.terms[key]
+                    acc[key] = acc.get(key, 0) + Fraction(coeff)
+        acc = {k: c for k, c in acc.items() if c}
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in acc.values()))
+        self.coeffs = {k: c.numerator * (den // c.denominator)
+                       for k, c in acc.items()}
+        self.den = den
+
+    @classmethod
+    def _of(cls, coeffs: dict, den: int) -> "TrigPoly":
+        """Wrap integer coefficients over ``den``, reduced to lowest terms."""
+        if den != 1:
+            g = gcd(den, *coeffs.values()) if coeffs else den
+            if g != 1:
+                coeffs = {k: c // g for k, c in coeffs.items()}
+                den //= g
+        r = cls.__new__(cls)
+        r.coeffs = coeffs
+        r.den = den
+        return r
+
+    @property
+    def terms(self) -> dict:
+        """Coefficients as exact rationals, keyed by (kind, m, n)."""
+        return {k: Fraction(c, self.den) for k, c in self.coeffs.items()}
 
     @classmethod
     def atom(cls, kind: str, m: int, n: int, q: int = 0, coeff=1) -> "TrigPoly":
@@ -392,7 +412,8 @@ class TrigPoly:
         sign, key = _canon_atom(kind, m, n, q)
         if key is None or not coeff:
             return cls()
-        return cls({key: sign * Fraction(coeff)})
+        coeff = Fraction(coeff)
+        return cls._of({key: sign * coeff.numerator}, coeff.denominator)
 
     @classmethod
     def atom_of(cls, kind: str, form: AffineForm, coeff=1) -> "TrigPoly":
@@ -409,55 +430,56 @@ class TrigPoly:
         return cls.atom("cos", 0, 0, 0, c)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def __add__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        out = {k: c * ka for k, c in self.coeffs.items()}
+        for key, c in other.coeffs.items():
+            s = out.get(key, 0) + c * kb
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
-        r = TrigPoly()
-        r.terms = out
-        return r
+        return TrigPoly._of(out, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        r = TrigPoly()
-        r.terms = {k: -c for k, c in self.terms.items()}
-        return r
+        return TrigPoly._of({k: -c for k, c in self.coeffs.items()}, self.den)
 
     def scaled(self, k) -> "TrigPoly":
         k = Fraction(k)
-        r = TrigPoly()
-        if k:
-            r.terms = {key: c * k for key, c in self.terms.items()}
-        return r
+        if not k:
+            return TrigPoly()
+        num = k.numerator
+        return TrigPoly._of({key: c * num for key, c in self.coeffs.items()},
+                            self.den * k.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
             return self.scaled(other)
-        out: dict[tuple[str, int, int], Fraction] = {}
+        # each product-to-sum term carries c1*c2/2: numerators c1*c2 over
+        # the doubled product of the denominators
+        out: dict[tuple[str, int, int], int] = {}
 
-        def put(kind, m, n, coeff):
+        def put(kind, m, n, c):
             sign, key = _canon_atom(kind, m, n, 0)
             if key is None:
                 return
-            c = out.get(key, Fraction(0)) + sign * coeff
-            if c:
-                out[key] = c
+            s = out.get(key, 0) + sign * c
+            if s:
+                out[key] = s
             else:
                 out.pop(key, None)
 
-        for (k1, m1, n1), c1 in self.terms.items():
-            for (k2, m2, n2), c2 in other.terms.items():
-                c = c1 * c2 / 2
+        for (k1, m1, n1), c1 in self.coeffs.items():
+            for (k2, m2, n2), c2 in other.coeffs.items():
+                c = c1 * c2
                 sm, sn = m1 + m2, n1 + n2
                 dm, dn = m1 - m2, n1 - n2
                 if k1 == "sin" and k2 == "sin":
@@ -472,9 +494,7 @@ class TrigPoly:
                 else:
                     put("sin", sm, sn, c)
                     put("sin", dm, dn, -c)
-        r = TrigPoly()
-        r.terms = out
-        return r
+        return TrigPoly._of(out, 2 * self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -500,7 +520,7 @@ class TrigPoly:
         """
         x, y = Fraction(x), Fraction(y)
         lo = hi = Fraction(0)
-        for (kind, m, n), c in self.terms.items():
+        for (kind, m, n), c in self.coeffs.items():
             key = (kind, m, n)
             iv = cache.get(key) if cache is not None else None
             if iv is None:
@@ -515,34 +535,16 @@ class TrigPoly:
             else:
                 lo += c * iv.hi
                 hi += c * iv.lo
+        if self.den != 1:
+            lo, hi = lo / self.den, hi / self.den
         return Interval(lo, hi)
 
     def gradient_bound(self):
         """sum |u| * (|m| + |n|), an exact bound for |df/dx| + |df/dy|
         in radian units."""
-        g = Fraction(0)
-        for (_, m, n), c in self.terms.items():
-            g += abs(c) * (abs(m) + abs(n))
-        return int(g) if g.denominator == 1 else g
-
-    def integerized(self) -> tuple["TrigPoly", Fraction]:
-        """Scale to primitive integer coefficients; returns (poly, factor).
-
-        factor is the positive rational the poly was multiplied by, so the
-        result equals factor * self.  Sign pattern is preserved.
-        """
-        if not self.terms:
-            return TrigPoly(), Fraction(1)
-        lcm = 1
-        for c in self.terms.values():
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, abs(c.numerator * (lcm // c.denominator)))
-        factor = Fraction(lcm, g)
-        out = TrigPoly()
-        out.terms = {k: c * factor for k, c in self.terms.items()}
-        return out, factor
+        g = sum(abs(c) * (abs(m) + abs(n))
+                for (_, m, n), c in self.coeffs.items())
+        return g // self.den if g % self.den == 0 else Fraction(g, self.den)
 
     def term_list(self):
         """Terms as (sign, magnitude, m, n, kind), sorted for stable output."""
@@ -560,13 +562,13 @@ class TrigPoly:
         sign, key = _canon_atom(kind, m, n, 0)
         if key is None:
             return None
-        divisor = TrigPoly({key: Fraction(sign)})
+        divisor = TrigPoly({key: sign})
         dk, dm, dn = key
         rem = self
         quot = TrigPoly()
-        for _ in range(4 * len(self.terms) + 8):
+        for _ in range(4 * len(self.coeffs) + 8):
             if rem.is_zero():
-                if (divisor * quot).terms == self.terms:
+                if divisor * quot == self:
                     return quot
                 return None
             (rk, rm, rn), rc = max(rem.terms.items(),
@@ -584,7 +586,7 @@ class TrigPoly:
                     return None
                 qkey, sgn2 = ("cos", 0, 0), 1
             # leading coefficient of divisor*candidate on the leading atom
-            cand = TrigPoly({qkey: Fraction(1)})
+            cand = TrigPoly({qkey: 1})
             prod = divisor * cand
             lead = prod.terms.get((rk, rm, rn))
             if not lead:
@@ -595,13 +597,14 @@ class TrigPoly:
         return None
 
     def __eq__(self, other):
-        return isinstance(other, TrigPoly) and self.terms == other.terms
+        return (isinstance(other, TrigPoly) and self.den == other.den
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.coeffs.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         def var(coef, name, first):
             mag = "" if abs(coef) == 1 else str(abs(coef))
@@ -629,14 +632,14 @@ def simplify(products) -> TrigPoly:
 
     ``products`` is an iterable of (coeff, atoms) pairs where each atom is a
     (kind, m, n, q) tuple meaning kind(m*x + n*y + q*90).  Product-to-sum
-    rewriting and quarter-turn folding happen along the way, and the whole
-    sum is doubled once at the end so that typical two-factor products come
-    out with integer coefficients.
+    rewriting and quarter-turn folding happen along the way, and every
+    product is doubled so that two-factor products with integer
+    coefficients come out with integer coefficients.
     """
     total = TrigPoly()
     for coeff, atoms in products:
-        poly = TrigPoly.constant(coeff)
+        poly = TrigPoly.constant(2 * coeff)
         for kind, m, n, q in atoms:
             poly = poly * TrigPoly.atom(kind, m, n, q)
         total = total + poly
-    return total.scaled(2)
+    return total

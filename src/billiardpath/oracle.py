@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .sequences import PAIR_ANGLE, CodeSequence, SideSequence, code_to_side
+from .sequences import PAIR_ANGLE, CodeSequence, code_to_side
 from .tower import Triangle
 
 # both scale with the triangle diameter
@@ -75,10 +75,6 @@ class TraceResult:
         self.vertex_hit = vertex_hit
         self.points = points
         self.directions = directions
-
-    @property
-    def side_sequence(self):
-        return SideSequence(self.sides, repeating=False) if self.sides else None
 
 
 def trace(tri: Triangle, start: RayState, max_bounces: int,
@@ -228,16 +224,18 @@ def _compose_mirrors(tri: Triangle, labels):
     return (m00, m01, m10, m11), (vx, vy)
 
 
-def _validate(tri, code, start_pair, t, angle):
-    """Trace one full period and measure how exactly the state returns."""
-    period = code.total()
-    target = code_to_side(code, start_pair).symbols
-    want = target[1:] + (target[0],)
+def _validate(tri, labels, start_pair, t, angle):
+    """Trace one full period and measure how exactly the state returns.
+
+    ``labels`` are the sides the period hits, in order, after leaving
+    ``start_pair[0]``.
+    """
+    period = len(labels)
     start = RayState(start_pair[0], t, angle)
     if not start.enters_interior(tri):
         return None
-    run = trace(tri, start, period, expect=want)
-    if run.vertex_hit or run.sides != want:
+    run = trace(tri, start, period, expect=labels)
+    if run.vertex_hit or run.sides != labels:
         return None
     p0, pk = run.points[0], run.points[period]
     d0 = start.direction()
@@ -296,7 +294,7 @@ def find_orbit(tri: Triangle, code: CodeSequence, seed: int = 0,
                 grid = [(i + 0.5) / density for i in range(density)]
                 rng.shuffle(grid)
                 for t in grid:
-                    got = _validate(tri, code, pair, t, angle)
+                    got = _validate(tri, labels, pair, t, angle)
                     if got is not None and (best is None
                                             or got.residual < best.residual):
                         best = got
@@ -318,7 +316,7 @@ def find_orbit(tri: Triangle, code: CodeSequence, seed: int = 0,
                 continue
             for dirx, diry in ((ax, ay), (-ax, -ay)):
                 angle = math.degrees(math.atan2(diry, dirx))
-                got = _validate(tri, code, pair, t, angle)
+                got = _validate(tri, labels, pair, t, angle)
                 if got is not None and (best is None
                                         or got.residual < best.residual):
                     best = got

@@ -227,10 +227,8 @@ def region_system(code: CodeSequence, asg=None) -> RegionSystem:
     sym = symbolic_tower(code, asg)
     keys = tuple(pruned_key_points(sym))
     polys = [sym.score_poly(p) for p in keys]
-    den = 1
-    for sp in polys:
-        for c in sp.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
+    # the scores' denominators are powers of two; one common multiple
+    den = math.lcm(*(sp.den for sp in polys))
     atom_index: dict = {}
     atoms: list = []
     rows = []
@@ -238,8 +236,9 @@ def region_system(code: CodeSequence, asg=None) -> RegionSystem:
         ais = array("i")
         cis = array("q")
         g = 0
-        for (k, m, n), c in sorted(sp.terms.items()):
-            ci = int(c * den)
+        scale = den // sp.den
+        for (k, m, n), c in sorted(sp.coeffs.items()):
+            ci = c * scale
             ai = atom_index.get((k, m, n))
             if ai is None:
                 ai = atom_index[(k, m, n)] = len(atoms)

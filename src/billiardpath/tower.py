@@ -9,7 +9,10 @@ special perpendicular sides.
 
 Coordinates are built once per (code, assignment) as trig polynomials,
 doubled so all coefficients are integers, and only evaluated to intervals
-at a concrete (x, y).
+at a concrete (x, y).  The build is linear in the code's length: each
+chain center is the previous center plus one simplified product, each arc
+point its fan's center plus one, and a turning score is its base point's
+score plus the product of that one step with the shooting vector.
 """
 
 from __future__ import annotations
@@ -109,8 +112,8 @@ class Fan:
 class SymbolicTower:
     """Tower geometry of one code and assignment, independent of (x, y).
 
-    Immutable once built; safe to share between threads and cached per
-    (code numbers, seed letters).
+    Immutable once built, apart from the memo of turning scores, and
+    cached per (code numbers, seed letters).
     """
 
     def __init__(self, code: CodeSequence, asg: AngleAssignment = None, *,
@@ -135,7 +138,8 @@ class SymbolicTower:
         self.code = code
         self.asg = asg
         self._scores: dict = {}
-        self._score_base: dict = {}
+        # point id -> (base point, px - base.px, py - base.py)
+        self._steps: dict = {}
         self._build()
         self._shoot()
 
@@ -167,20 +171,20 @@ class SymbolicTower:
             a_m = values[m] * codes[(m - 1) % n]
             t_forms.append(a_m - t_forms[m - 1])
 
-        centers = []
-        px_products = [(1, [_sin_atom(third_symbol(letter(0), letter(1)))])]
-        py_products = []
-        centers.append(self._point(px_products, py_products, 1))
+        # each center adds one chain product onto the previous center, so
+        # a code of length n expands O(n) products, not O(n^2)
+        centers = [self._point(
+            simplify([(1, [_sin_atom(third_symbol(letter(0), letter(1)))])]),
+            TrigPoly(), 1)]
         for m in range(1, n + 2):
             u_atom = _sin_atom(third_symbol(letter(m - 1), letter(m)))
             t_prev = t_forms[m - 1]
             sign = 1 if m % 2 == 0 else -1
-            px_products = px_products + \
-                [(sign, [u_atom, _angle_atom("cos", t_prev)])]
-            py_products = py_products + \
-                [(1, [u_atom, _angle_atom("sin", t_prev)])]
-            centers.append(self._point(px_products, py_products, m + 1))
-            self._score_base[id(centers[-1])] = centers[-2]
+            dpx = simplify([(sign, [u_atom, _angle_atom("cos", t_prev)])])
+            dpy = simplify([(1, [u_atom, _angle_atom("sin", t_prev)])])
+            prev = centers[-1]
+            centers.append(self._point(prev.px + dpx, prev.py + dpy, m + 1))
+            self._steps[id(centers[-1])] = (prev, dpx, dpy)
         self.centers = centers  # L_1 .. L_{n+2}
 
         fans = []
@@ -200,13 +204,12 @@ class SymbolicTower:
             for j in range(1, count):
                 ang = delta + v * (sigma * j)
                 radius = radius_even if j % 2 == 0 else radius_odd
-                px = [(1, [radius, _angle_atom("cos", ang)])]
-                py = [(1, [radius, _angle_atom("sin", ang)])]
+                dpx = simplify([(1, [radius, _angle_atom("cos", ang)])])
+                dpy = simplify([(1, [radius, _angle_atom("sin", ang)])])
                 color = BLACK if m % 2 == 0 else BLUE
-                arc.append(TowerPoint(
-                    center.px + simplify(px), center.py + simplify(py),
-                    color, (m, j)))
-                self._score_base[id(arc[-1])] = center
+                arc.append(TowerPoint(center.px + dpx, center.py + dpy,
+                                      color, (m, j)))
+                self._steps[id(arc[-1])] = (center, dpx, dpy)
             arc.append(centers[i + 1])
             fans.append(Fan(i, count, letter(i), center, arc))
         self.fans = fans
@@ -217,10 +220,9 @@ class SymbolicTower:
         self.base = (centers[1], centers[0])        # A0, B0
         self.top = (centers[n + 1], centers[n])     # A_last, B_last
 
-    def _point(self, px_products, py_products, m):
-        color = BLUE if m % 2 == 0 else BLACK
-        return TowerPoint(simplify(px_products), simplify(py_products),
-                          color, (m, 0))
+    @staticmethod
+    def _point(px: TrigPoly, py: TrigPoly, m: int) -> TowerPoint:
+        return TowerPoint(px, py, BLUE if m % 2 == 0 else BLACK, (m, 0))
 
     def _shoot(self):
         if self.theta is not None:
@@ -245,27 +247,26 @@ class SymbolicTower:
     def score_poly(self, point: TowerPoint) -> TrigPoly:
         """Turning score d*px - c*py against the shooting vector (c, d).
 
-        Neighboring chain points differ by one or two product terms, so
-        scores are built as deltas off a base point's score; long codes
-        would otherwise pay a full product per point.
+        Every point but the first center is its base point plus one
+        simplified product, so scores are built as deltas off the base's
+        score; long codes would otherwise pay a full product per point.
         """
         chain = []
-        while True:
-            got = self._scores.get(id(point))
-            if got is not None:
-                break
+        got = self._scores.get(id(point))
+        while got is None:
             chain.append(point)
-            point = self._score_base.get(id(point))
-            if point is None:
-                got = None
+            step = self._steps.get(id(point))
+            if step is None:
                 break
+            point = step[0]
+            got = self._scores.get(id(point))
         c, d = self.shooting
         for p in reversed(chain):
             if got is None:
                 got = d * p.px - c * p.py
             else:
-                base = self._score_base[id(p)]
-                got = got + d * (p.px - base.px) - c * (p.py - base.py)
+                _, dpx, dpy = self._steps[id(p)]
+                got = got + d * dpx - c * dpy
             self._scores[id(p)] = got
         return got
 
@@ -352,13 +353,6 @@ class Tower:
         return all(f.central_degrees(self.x, self.y) < 180
                    for f in self.sym.fans)
 
-    def top_parallel_base(self) -> bool:
-        """Does the top side run along the base direction?"""
-        (_, ay) = self.locate(self.sym.top[0])
-        (_, by) = self.locate(self.sym.top[1])
-        # the base sits on the x axis, so parallel means zero y spread
-        return 0 in (by - ay)
-
     def band_refuted(self) -> bool:
         """True when some end displacement certainly leaves the shooting
         direction, so no periodic band exists at this triangle."""
@@ -432,8 +426,7 @@ def _parallel_pruned(sym: SymbolicTower, points):
     groups = {}
     out = []
     for p in points:
-        key = (p.color,
-               tuple(sorted(sym.score_poly(p).terms.items())))
+        key = (p.color, sym.score_poly(p))
         if key in groups:
             continue
         groups[key] = p

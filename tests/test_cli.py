@@ -203,6 +203,35 @@ class TestCover:
         assert len(rects) == 2  # background plus the one certified square
         assert doc.getElementsByTagName("polygon")
 
+    @pytest.mark.parametrize("flag", ["-o", "--svg"])
+    def test_unwritable_output_fails_before_the_cover(
+            self, capsys, monkeypatch, tiny_corpus, square_region, tmp_path,
+            flag):
+        def no_cover(*args, **kwargs):
+            raise AssertionError("the cover ran")
+
+        monkeypatch.setattr("billiardpath.cli.cover", no_cover)
+        dest = tmp_path / "missing" / "out"
+        code, _, err = run(capsys, "cover", "--region", square_region,
+                           "--corpus", tiny_corpus, flag, str(dest))
+        assert code == 3
+        assert f"cannot write {dest}" in err
+        assert "Traceback" not in err
+
+    def test_output_probe_leaves_no_file(self, capsys, monkeypatch,
+                                         tiny_corpus, square_region,
+                                         tmp_path):
+        def bad_cover(*args, **kwargs):
+            raise ValueError("no cover")
+
+        monkeypatch.setattr("billiardpath.cli.cover", bad_cover)
+        dest = tmp_path / "cover.txt"
+        code, _, err = run(capsys, "cover", "--region", square_region,
+                           "--corpus", tiny_corpus, "-o", str(dest))
+        assert code == 3
+        assert "no cover" in err
+        assert not dest.exists()
+
     def test_deterministic(self, capsys, tiny_corpus, square_region):
         first = run(capsys, "cover", "--region", square_region,
                     "--corpus", tiny_corpus)
@@ -235,6 +264,13 @@ class TestTower:
         doc = xml.dom.minidom.parse(str(svg))
         assert doc.getElementsByTagName("line")
         assert doc.getElementsByTagName("circle")
+
+    def test_unwritable_svg(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "tower.svg"
+        code, _, err = run(capsys, "tower", "1 1 1", "--at", "60,60",
+                           "--svg", str(dest))
+        assert code == 3
+        assert f"cannot write {dest}" in err
 
     def test_degenerate_triangle(self, capsys):
         code, _, err = run(capsys, "tower", "1 1 1", "--at", "100,80")

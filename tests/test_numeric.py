@@ -1,5 +1,6 @@
 """Interval arithmetic, enclosures, and trig-sum algebra."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from billiardpath.numeric import (
     Interval,
     TrigPoly,
     _GUARD,
+    _canon_atom,
     _pi_bracket,
     _sin_series_bracket,
     enclose_cos,
@@ -298,22 +300,107 @@ def test_substitute_line():
         TrigPoly.atom("sin", 1, 1).substitute_line(F(1, 2), 0)
 
 
-def test_integerized():
-    f = TrigPoly.atom("sin", 1, 0, 0, F(3, 2)) + \
-        TrigPoly.atom("cos", 0, 1, 0, F(-9, 4))
-    g, factor = f.integerized()
-    assert factor == F(4, 3)
-    assert g.terms == {("sin", 1, 0): F(2), ("cos", 0, 1): F(-3)}
+# --- integer coefficients against the Fraction rule ---------------------
+
+def reference_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, F(0)) + c
+        if not out[key]:
+            del out[key]
+    return out
 
 
-def test_affine_form_theta_substitution():
-    t = AffineForm.var_theta()
-    phi = AffineForm.const(180) - t - 2 * AffineForm.var_x()
-    th = AffineForm(1, 1, -1, 0)
-    out = phi.substitute_theta(th)
-    assert out.eval(30, 70) == 180 - (30 + 70 - 90) - 60
-    with pytest.raises(ValueError):
-        phi.eval(30, 70)
+def reference_mul(a, b):
+    """Product-to-sum on {key: Fraction} dicts, each term carrying c1*c2/2."""
+    out = {}
+    for (k1, m1, n1), c1 in a.items():
+        for (k2, m2, n2), c2 in b.items():
+            c = c1 * c2 / 2
+            s, d = (m1 + m2, n1 + n2), (m1 - m2, n1 - n2)
+            if k1 == k2:
+                pairs = [("cos", d, c), ("cos", s, -c if k1 == "sin" else c)]
+            else:
+                pairs = [("sin", s, c), ("sin", d, c if k1 == "sin" else -c)]
+            for kind, (m, n), v in pairs:
+                sign, key = _canon_atom(kind, m, n, 0)
+                if key is not None:
+                    out = reference_add(out, {key: sign * v})
+    return out
+
+
+def random_coeff(rng):
+    num = rng.randrange(-9, 10)
+    return F(num, rng.choice((1, 1, 2, 4, 8, 3, 6)))
+
+
+def random_poly(rng):
+    terms = {}
+    for _ in range(rng.randrange(0, 6)):
+        sign, key = _canon_atom(rng.choice(("sin", "cos")),
+                                rng.randrange(-4, 5), rng.randrange(-4, 5), 0)
+        if key is not None:
+            terms = reference_add(terms, {key: sign * random_coeff(rng)})
+    return terms
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert all(isinstance(c, int) and c for c in p.coeffs.values())
+    if p.coeffs:
+        assert math.gcd(p.den, *p.coeffs.values()) == 1
+    else:
+        assert p.den == 1
+
+
+def test_integer_coefficients_match_fraction_rule():
+    rng = random.Random(2718)
+    for _ in range(400):
+        ra, rb = random_poly(rng), random_poly(rng)
+        a, b = TrigPoly(ra), TrigPoly(rb)
+        assert a.terms == ra and b.terms == rb
+        k = random_coeff(rng)
+        cases = [(a + b, reference_add(ra, rb)),
+                 (a - b, reference_add(ra, {key: -c for key, c in rb.items()})),
+                 (-a, {key: -c for key, c in ra.items()}),
+                 (a * b, reference_mul(ra, rb)),
+                 (a.scaled(k), {key: c * k for key, c in ra.items() if k})]
+        for got, want in cases:
+            assert_canonical(got)
+            assert got.terms == want
+            assert got == TrigPoly(want) and hash(got) == hash(TrigPoly(want))
+        assert (a + b) - b == a
+        g = sum((abs(c) * (abs(m) + abs(n)) for (_, m, n), c in ra.items()),
+                F(0))
+        assert a.gradient_bound() == g
+        x, y = F(rng.randrange(1, 900), 10), F(rng.randrange(1, 900), 10)
+        lo = hi = F(0)
+        for (kind, m, n), c in ra.items():
+            iv = (enclose_sin if kind == "sin" else enclose_cos)(m * x + n * y)
+            lo += c * (iv.lo if c > 0 else iv.hi)
+            hi += c * (iv.hi if c > 0 else iv.lo)
+        assert a.eval(x, y) == Interval(lo, hi)
+
+
+def test_simplify_matches_fraction_rule():
+    rng = random.Random(314)
+    for _ in range(200):
+        products = []
+        want = {}
+        for _ in range(rng.randrange(0, 4)):
+            coeff = random_coeff(rng)
+            atoms = [(rng.choice(("sin", "cos")), rng.randrange(-4, 5),
+                      rng.randrange(-4, 5), rng.randrange(-2, 3))
+                     for _ in range(rng.randrange(0, 4))]
+            products.append((coeff, atoms))
+            term = {("cos", 0, 0): 2 * coeff} if coeff else {}
+            for kind, m, n, q in atoms:
+                sign, key = _canon_atom(kind, m, n, q)
+                term = reference_mul(term, {key: F(sign)}) if key else {}
+            want = reference_add(want, term)
+        got = simplify(products)
+        assert_canonical(got)
+        assert got.terms == want
 
 
 def test_affine_z_identity():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -6,11 +7,13 @@ import pytest
 
 from billiardpath.classify import angle_bounding_polygon, classify_code
 from billiardpath.corpus import load_default_corpus
-from billiardpath.numeric import TrigPoly
-from billiardpath.sequences import CodeSequence, all_assignments, assign_angles
-from billiardpath.tower import (FanAngleError, ShapeError,
+from billiardpath.numeric import AffineForm, TrigPoly, simplify
+from billiardpath.sequences import (CodeSequence, all_assignments,
+                                    assign_angles, symbol_value, third_symbol)
+from billiardpath.tower import (FanAngleError, ShapeError, SymbolicTower,
                                 convex_hull_separation, key_points,
-                                symbolic_tower, unfold, unfold_raw)
+                                pruned_key_points, symbolic_tower, unfold,
+                                unfold_raw)
 from billiardpath.tower import test_I as band_test
 from billiardpath.tower import test_II as pruned_band_test
 from billiardpath.tower import test_III as shape_test
@@ -286,10 +289,6 @@ class TestClosure:
             ca, cb = sym.closure
             assert (len(ca.terms), len(cb.terms)) == (na, nb)
 
-    def test_top_parallel_base_when_stable(self):
-        tower = build_tower([1, 1, 1], "X", "Y", 60, 60)
-        assert tower.top_parallel_base()
-
     def test_theta_and_chain_direction_agree(self):
         sym = symbolic_tower(CodeSequence([1, 1, 1]),
                              assign_angles(CodeSequence([1, 1, 1]), "X", "Y"))
@@ -354,3 +353,102 @@ class TestHullSeparation:
         assert colors.count("black") == 2
         assert len(list(tower.sym.triangles())) == 2
         assert convex_hull_separation(tower).passed
+
+
+# --- linear-time build ------------------------------------------------
+
+def reference_centers(sym):
+    """(px, py) of every chain center from the cumulative-product builder
+    the linear one replaced: center m re-expands all m chain products."""
+    codes = sym.code.codes
+    n = len(codes)
+    letter = sym._letter
+
+    def atom(kind, form):
+        return (kind, int(form.ax), int(form.ay), int(form.c))
+
+    t_forms = [AffineForm()]
+    for m in range(1, n + 2):
+        t_forms.append(symbol_value(letter(m)) * codes[(m - 1) % n]
+                       - t_forms[m - 1])
+    px_products = [(1, [atom("sin", symbol_value(
+        third_symbol(letter(0), letter(1))))])]
+    py_products = []
+    out = [(simplify(px_products), simplify(py_products))]
+    for m in range(1, n + 2):
+        u_atom = atom("sin", symbol_value(third_symbol(letter(m - 1),
+                                                       letter(m))))
+        sign = 1 if m % 2 == 0 else -1
+        px_products = px_products + \
+            [(sign, [u_atom, atom("cos", t_forms[m - 1])])]
+        py_products = py_products + \
+            [(1, [u_atom, atom("sin", t_forms[m - 1])])]
+        out.append((simplify(px_products), simplify(py_products)))
+    return out
+
+
+def digest_key(poly):
+    return tuple(sorted((k, str(c)) for k, c in poly.terms.items()))
+
+
+def tower_digest_lines(sym):
+    for p in sym.centers:
+        yield repr((p.label, p.color, digest_key(p.px), digest_key(p.py)))
+    yield repr(("shooting", sym.shooting_kind,
+                [digest_key(p) for p in sym.shooting]))
+    yield repr(("closure", [digest_key(p) for p in sym.closure]))
+    for p in pruned_key_points(sym):
+        yield repr((p.label, p.color, digest_key(sym.score_poly(p))))
+
+
+# sha256 of tower_digest_lines over the 402 plans (code and assignment) of
+# the corpus entries with codes of length <= 24, as the cumulative-product
+# builder with Fraction coefficients printed them
+FROZEN_TOWER_DIGEST = \
+    "25fa739fcb3ce09c0c7168ab2a1f53d9e10b7b549dca89f59741e0fb9cbb5f0f"
+
+
+class TestLinearBuild:
+    def test_frozen_tower_digest(self):
+        h = hashlib.sha256()
+        plans = 0
+        for entry in load_default_corpus():
+            if len(entry.code.codes) > 24:
+                continue
+            for asg in all_assignments(entry.code):
+                for line in tower_digest_lines(SymbolicTower(entry.code, asg)):
+                    h.update(line.encode() + b"\n")
+                plans += 1
+        assert plans == 402
+        assert h.hexdigest() == FROZEN_TOWER_DIGEST
+
+    def test_centers_match_cumulative_reference(self):
+        corpus = load_default_corpus()
+        longest = max(corpus, key=lambda e: len(e.code.codes))
+        assert len(longest.code.codes) == 116
+        cases = [(CodeSequence(codes), first, second)
+                 for codes, first, second in [
+                     ([1, 1, 1], "X", "Y"), ([1, 2, 1, 2], "Z", "X"),
+                     (WORKED_CODES, WORKED_FIRST, WORKED_SECOND)]]
+        syms = [SymbolicTower(code, assign_angles(code, first, second))
+                for code, first, second in cases]
+        syms.append(SymbolicTower(longest.code,
+                                  all_assignments(longest.code)[0]))
+        syms.append(unfold_raw([1, 2, 3], ["X", "Y", "Z"], "Y", 40, 75).sym)
+        for sym in syms:
+            ref = reference_centers(sym)
+            assert len(ref) == len(sym.centers)
+            for p, (px, py) in zip(sym.centers, ref):
+                assert p.px.terms == px.terms and p.py.terms == py.terms
+                assert p.px == px and p.py == py
+
+    def test_scores_match_direct_products(self):
+        for codes, first, second in [([1, 1, 1], "X", "Y"),
+                                     ([1, 2, 1, 2], "Z", "X"),
+                                     (WORKED_CODES, WORKED_FIRST,
+                                      WORKED_SECOND)]:
+            code = CodeSequence(codes)
+            sym = SymbolicTower(code, assign_angles(code, first, second))
+            c, d = sym.shooting
+            for p in reversed(sym.points):
+                assert sym.score_poly(p) == d * p.px - c * p.py
