@@ -234,10 +234,12 @@ class BoundingPolygon:
     triple per direction, as sorted primitive integer triples.  They are
     clipped in that order on integer homogeneous vertices (X, Y, W), W > 0,
     and ``faces`` is picked on those; ``vertices`` is the clipped closure
-    as Fraction pairs, empty when the region is.
+    as Fraction pairs, empty when the region is.  ``is_empty`` is fixed at
+    construction: the region is empty when the closure has fewer than
+    three vertices or zero area.
     """
 
-    __slots__ = ("halfplanes", "vertices", "faces")
+    __slots__ = ("halfplanes", "vertices", "faces", "is_empty")
 
     def __init__(self, halfplanes):
         feasible = True
@@ -259,18 +261,15 @@ class BoundingPolygon:
         self.halfplanes = sorted(primitive)
         hull = intersect_homogeneous(self.halfplanes) if feasible else []
         self.vertices = [to_point(v) for v in hull]
+        self.is_empty = len(hull) < 3 or polygon_area2(self.vertices) == 0
         # constraints tight somewhere on the result delimit the same region
         # as the whole set; point and segment tests use just those
-        if len(hull) >= 3 and polygon_area2(self.vertices) != 0:
+        if not self.is_empty:
             self.faces = [hp for hp in self.halfplanes
                           if min(hp[0] * X + hp[1] * Y + hp[2] * W
                                  for X, Y, W in hull) == 0]
         else:
             self.faces = self.halfplanes
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.vertices) < 3 or polygon_area2(self.vertices) == 0
 
     def contains_point(self, x, y, strict: bool = True) -> bool:
         return bool(self.vertices) and \

@@ -28,7 +28,8 @@ from array import array
 from collections import deque
 from fractions import Fraction
 
-from .classify import angle_bounding_polygon, is_stable, line_region
+from .classify import (angle_bounding_polygon, corner_bounding_polygon,
+                       is_stable, line_region)
 from .geometry import (clip_polygon, line_segment_in_halfplanes,
                        polygon_area2, polygon_bbox, segment_midpoint,
                        to_homogeneous)
@@ -568,8 +569,11 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
     ``max_depth``, where the uncovered squares are reported as failures.
     An indeterminate verdict retries at double precision before splitting.
     Candidate order is the corpus order filtered down the parent chain,
-    with the parent's most promising code tried first.  ``threads`` is
-    accepted for compatibility and ignored.
+    with the parent's most promising code tried first.  Only the plans
+    whose corner bound (``corner_bounding_polygon``) has a box meeting the
+    root square have their full bounding polygon compiled; the others
+    could never be candidates.  ``threads`` is accepted for compatibility
+    and ignored.
     """
     codes = [getattr(e, "code", e) for e in corpus]
     target = [(Fraction(x), Fraction(y)) for x, y in target]
@@ -577,13 +581,20 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
         raise ValueError("target polygon is degenerate")
     if polygon_area2(target) < 0:
         target.reverse()
+    x0, y0, x1, y1 = polygon_bbox(target)
+    root = Square((x0 + x1) / 2, (y0 + y1) / 2, max(x1 - x0, y1 - y0) / 2)
     # (key, polygon, bbox) per (entry index, assignment index), in corpus
-    # order; a line system never certifies area on its own
+    # order; a line system never certifies area on its own.  The full
+    # polygon lies inside the corner polygon, so a corner box apart from
+    # the root is apart from every square and the plan is never compiled
     plans = []
     for i, code in enumerate(codes):
         if not is_stable(code):
             continue
         for j, asg in enumerate(all_assignments(code)):
+            outer = corner_bounding_polygon(code, asg).bbox()
+            if outer is None or not _bbox_meets(outer, root):
+                continue
             poly = angle_bounding_polygon(code, asg)
             if not poly.is_empty:
                 plans.append(((i, j), poly, poly.bbox()))
@@ -605,8 +616,6 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
                 return False
         return polygon_area2(piece) != 0
 
-    x0, y0, x1, y1 = polygon_bbox(target)
-    root = Square((x0 + x1) / 2, (y0 + y1) / 2, max(x1 - x0, y1 - y0) / 2)
     records, failures = [], []
     max_depth_used = 0
     queue = deque([(root, 0, plans, None)])

@@ -235,12 +235,15 @@ class SymbolicTower:
             self.shooting_kind = "chain"
         # the band repeats only if both end displacements run along the
         # shooting direction; stable codes satisfy this identically and
-        # the polynomials below collapse to zero
+        # the polynomials below collapse to zero.  A chain's shooting
+        # vector is the A displacement itself, so its first one is zero
+        # by construction and is not expanded
         c, d = self.shooting
         a0, b0 = self.centers[1], self.centers[0]
         an, bm = self.centers[-1], self.centers[-2]
-        self.closure = ((an.px - a0.px) * d - (an.py - a0.py) * c,
-                        (bm.px - b0.px) * d - (bm.py - b0.py) * c)
+        first = TrigPoly() if self.shooting_kind == "chain" else \
+            (an.px - a0.px) * d - (an.py - a0.py) * c
+        self.closure = (first, (bm.px - b0.px) * d - (bm.py - b0.py) * c)
 
     # -- derived symbolic data -----------------------------------------
 
@@ -515,7 +518,7 @@ class Triangle:
     the second and third (sin x), 3 the first and third (sin y).
     """
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "_vertices")
 
     def __init__(self, x, y):
         x, y = Fraction(x), Fraction(y)
@@ -523,6 +526,12 @@ class Triangle:
             raise ValueError(f"degenerate triangle ({x}, {y})")
         self.x = x
         self.y = y
+        xr = math.radians(float(x))
+        yr = math.radians(float(y))
+        self._vertices = ((0.0, 0.0),
+                          (math.sin(xr + yr), 0.0),
+                          (math.sin(yr) * math.cos(xr),
+                           math.sin(yr) * math.sin(xr)))
 
     @property
     def z(self) -> Fraction:
@@ -530,11 +539,7 @@ class Triangle:
 
     def vertices(self):
         """Float corner coordinates (first, second, third)."""
-        xr = math.radians(float(self.x))
-        yr = math.radians(float(self.y))
-        return ((0.0, 0.0),
-                (math.sin(xr + yr), 0.0),
-                (math.sin(yr) * math.cos(xr), math.sin(yr) * math.sin(xr)))
+        return self._vertices
 
     def side(self, label: int):
         """Endpoint pair of a labeled side."""

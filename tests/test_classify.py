@@ -278,14 +278,22 @@ def test_corpus_classification_matches_tags():
 
 
 def test_corpus_polygons_nonempty():
-    rng = random.Random(11)
-    for entry in rng.sample(load_default_corpus(), 25):
-        asg = all_assignments(entry.code)[0]
-        poly = angle_bounding_polygon(entry.code, asg)
-        assert not poly.is_empty
-        corner = corner_bounding_polygon(entry.code, asg)
-        for vx, vy in poly.vertices:
-            assert point_satisfies(corner.halfplanes, vx, vy, strict=False)
+    # every plan's polygon lies inside its corner polygon, and so does its
+    # box: ``cover`` skips a plan whose corner box misses the root square
+    plans = 0
+    for entry in load_default_corpus():
+        for asg in all_assignments(entry.code):
+            poly = angle_bounding_polygon(entry.code, asg)
+            assert not poly.is_empty
+            corner = corner_bounding_polygon(entry.code, asg)
+            for vx, vy in poly.vertices:
+                assert point_satisfies(corner.halfplanes, vx, vy,
+                                       strict=False), (entry.code, asg)
+            x0, y0, x1, y1 = poly.bbox()
+            cx0, cy0, cx1, cy1 = corner.bbox()
+            assert cx0 <= x0 and cy0 <= y0 and x1 <= cx1 and y1 <= cy1
+            plans += 1
+    assert plans == 804
 
 
 def test_faces_match_full_halfplane_set():

@@ -11,8 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from billiardpath.classify import angle_bounding_polygon, classify_code
+from billiardpath.classify import (angle_bounding_polygon, classify_code,
+                                   corner_bounding_polygon)
 from billiardpath.corpus import load_default_corpus
+from billiardpath.geometry import polygon_bbox
 from billiardpath.prover import (
     Certificate,
     CoverRecord,
@@ -20,6 +22,7 @@ from billiardpath.prover import (
     PRESETS,
     RegionSystem,
     Square,
+    _bbox_meets,
     certify_square,
     cover,
     infinite_pattern,
@@ -34,6 +37,8 @@ F = Fraction
 
 ORTHIC = CodeSequence([1, 1, 1])
 SQUARE_REPEAT = CodeSequence([1, 2, 1, 2])
+# x in [30, 35] of the strip between x + y = 75 and x + y = 80
+STRIP_SLICE = [(F(30), F(45)), (F(35), F(40)), (F(35), F(45)), (F(30), F(50))]
 
 
 # cover([(40, 50), (80, 50), (60, 80)], [ORTHIC], max_depth=3)
@@ -293,6 +298,50 @@ class TestCover:
         assert res.square_count == 141
         assert hashlib.sha256(res.to_text().encode()).hexdigest() == \
             "0df454ee77399ac082dfc77cc57b5c0be0e4ea7d65bca7c95c2fba1843fdaab9"
+
+    def test_frozen_strip_cover_digest(self):
+        # x in [30, 35] of the strip between x + y = 75 and x + y = 80
+        # against every other corpus code: a 25-square cover whose text
+        # was frozen as a sha256 while every plan was still compiled
+        corpus = load_default_corpus()
+        res = cover(STRIP_SLICE, [corpus[i] for i in range(0, 134, 2)])
+        assert res.complete
+        assert res.square_count == 25
+        assert hashlib.sha256(res.to_text().encode()).hexdigest() == \
+            "a4c4c18f2e00b6c16c47a3d2fb32b3cd03963f15725b880b5d1061081154b93f"
+
+    def test_only_plans_meeting_the_root_are_compiled(self, monkeypatch):
+        seen = set()
+
+        def spy(code, asg):
+            seen.add((tuple(code.codes), asg.symbol(1), asg.symbol(2)))
+            return angle_bounding_polygon(code, asg)
+
+        monkeypatch.setattr("billiardpath.prover.angle_bounding_polygon", spy)
+        corpus = load_default_corpus()
+        res = cover(STRIP_SLICE, [corpus[i] for i in range(0, 134, 2)])
+        assert res.complete
+        # of the 402 stable plans, only the 9 whose corner box meets the
+        # root square are compiled
+        assert len(seen) == 9
+
+    @pytest.mark.parametrize("preset",
+                             ["strip-75-80", "strip-112.3", "acute-demo"])
+    def test_corner_gate_skips_only_unreachable_plans(self, preset):
+        x0, y0, x1, y1 = polygon_bbox(PRESETS[preset])
+        root = Square((x0 + x1) / 2, (y0 + y1) / 2,
+                      max(x1 - x0, y1 - y0) / 2)
+        skipped = 0
+        for entry in load_default_corpus():
+            for asg in all_assignments(entry.code):
+                outer = corner_bounding_polygon(entry.code, asg).bbox()
+                if outer is not None and _bbox_meets(outer, root):
+                    continue
+                skipped += 1
+                poly = angle_bounding_polygon(entry.code, asg)
+                assert poly.is_empty or \
+                    not _bbox_meets(poly.bbox(), root), (entry.code, asg)
+        assert skipped > 0
 
     def test_unstable_codes_build_no_polygon(self, monkeypatch):
         seen = []
