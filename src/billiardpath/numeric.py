@@ -8,8 +8,12 @@ division anywhere.
 The enclosure kernel ``sin_scaled`` takes an angle as an integer ratio and
 returns integers on the 10^-precision grid: it folds, runs the Taylor
 series, adds the pi bracket's slack and rounds outward without building a
-single ``Fraction``.  ``enclose_sin`` and ``enclose_cos`` wrap its result in
-an ``Interval``; the prover calls it directly.
+single ``Fraction``.  ``enclose_sin`` and ``enclose_cos`` wrap one result in
+an ``Interval``.  Every trig sum is evaluated by one rule, ``sum_bounds``:
+at a homogeneous integer point it adds up integer coefficients times kernel
+bounds, so ``TrigPoly.eval``, the towers and the prover's square
+certification all meet the same integers, and ``TrigPoly.eval`` builds one
+``Interval`` at the end.
 
 A ``TrigPoly`` keeps its coefficients as integers over one common
 denominator in lowest terms.  Product-to-sum rewriting halves and
@@ -22,6 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+from .geometry import to_homogeneous
 
 MIN_PRECISION = 7
 _GUARD = 8  # extra working digits behind every enclosure
@@ -82,9 +88,6 @@ class Interval:
     def __contains__(self, v) -> bool:
         return self.lo <= v <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def width(self) -> Fraction:
         return self.hi - self.lo
 
@@ -95,13 +98,6 @@ class Interval:
     def __hash__(self):
         return hash((self.lo, self.hi))
 
-    def scaled_bounds(self, precision: int) -> tuple[int, int]:
-        """Endpoints as integers times 10^-precision, rounded outward."""
-        s = 10 ** precision
-        lo = self.lo.numerator * s // self.lo.denominator
-        hi = _cdiv(self.hi.numerator * s, self.hi.denominator)
-        return lo, hi
-
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"
 
@@ -109,7 +105,8 @@ class Interval:
 def quantize_outward(iv: Interval, precision: int) -> Interval:
     """Push both endpoints outward onto the 10^-precision grid."""
     s = 10 ** precision
-    lo, hi = iv.scaled_bounds(precision)
+    lo = iv.lo.numerator * s // iv.lo.denominator
+    hi = _cdiv(iv.hi.numerator * s, iv.hi.denominator)
     return Interval(Fraction(lo, s), Fraction(hi, s))
 
 
@@ -153,13 +150,6 @@ def pi_enclosure(precision: int = MIN_PRECISION) -> Interval:
     """Enclosure of pi on the 10^-precision grid."""
     lo, hi = _pi_bracket(precision + _GUARD)
     s = 10 ** (precision + _GUARD)
-    return quantize_outward(Interval(Fraction(lo, s), Fraction(hi, s)), precision)
-
-
-def half_pi_enclosure(precision: int = MIN_PRECISION) -> Interval:
-    """Enclosure of pi/2 on the 10^-precision grid."""
-    lo, hi = _pi_bracket(precision + _GUARD)
-    s = 2 * 10 ** (precision + _GUARD)
     return quantize_outward(Interval(Fraction(lo, s), Fraction(hi, s)), precision)
 
 
@@ -239,6 +229,39 @@ def enclose_sin(angle, precision: int = MIN_PRECISION) -> Interval:
 def enclose_cos(angle, precision: int = MIN_PRECISION) -> Interval:
     """Rigorous enclosure of cos(angle degrees) on the 10^-precision grid."""
     return enclose_sin(Fraction(angle) + 90, precision)
+
+
+def sum_bounds(terms, X: int, Y: int, W: int, precision: int,
+               cache: dict) -> tuple[int, int]:
+    """Bounds of  sum c * kind(m*x + n*y)  at the point (X/W, Y/W) degrees.
+
+    ``terms`` holds ((kind, m, n), c) pairs with integer ``c``; W > 0.  The
+    result is integers (lo, hi) times 10^-precision, rounded outward.  Each
+    argument goes to the kernel as the integer ratio (m*X + n*Y) / W, plus
+    90 degrees for a cosine.  ``cache`` maps (kind, m, n) to the kernel's
+    pair and belongs to one point and one precision.
+    """
+    lo = hi = 0
+    for key, c in terms:
+        got = cache.get(key)
+        if got is None:
+            kind, m, n = key
+            num = m * X + n * Y
+            if kind == "cos":
+                num += 90 * W
+            got = cache[key] = sin_scaled(num, W, precision)
+        if c >= 0:
+            lo += c * got[0]
+            hi += c * got[1]
+        else:
+            lo += c * got[1]
+            hi += c * got[0]
+    return lo, hi
+
+
+def gradient_sum(terms) -> int:
+    """sum |c| * (|m| + |n|) over ((kind, m, n), c) pairs."""
+    return sum(abs(c) * (abs(m) + abs(n)) for (_, m, n), c in terms)
 
 
 # --- affine angle forms -----------------------------------------------
@@ -514,36 +537,23 @@ class TrigPoly:
              cache: dict | None = None) -> Interval:
         """Interval enclosure of the sum at rational (x, y) degrees.
 
-        ``cache`` maps atom keys to enclosures and must belong to one fixed
-        (x, y, precision) triple; share it across polynomials evaluated at
-        the same point, never across points.
+        The integer sum comes from ``sum_bounds``; its endpoints are the
+        exact sums of the coefficients times the atoms' enclosures.
+        ``cache`` maps atom keys (kind, m, n) to the kernel's scaled
+        integer pairs, as ``sum_bounds`` keeps it, and must belong to one
+        fixed (x, y, precision) triple; share it across polynomials
+        evaluated at the same point, never across points.
         """
-        x, y = Fraction(x), Fraction(y)
-        lo = hi = Fraction(0)
-        for (kind, m, n), c in self.coeffs.items():
-            key = (kind, m, n)
-            iv = cache.get(key) if cache is not None else None
-            if iv is None:
-                arg = m * x + n * y
-                iv = (enclose_sin(arg, precision) if kind == "sin"
-                      else enclose_cos(arg, precision))
-                if cache is not None:
-                    cache[key] = iv
-            if c >= 0:
-                lo += c * iv.lo
-                hi += c * iv.hi
-            else:
-                lo += c * iv.hi
-                hi += c * iv.lo
-        if self.den != 1:
-            lo, hi = lo / self.den, hi / self.den
-        return Interval(lo, hi)
+        X, Y, W = to_homogeneous((x, y))
+        lo, hi = sum_bounds(self.coeffs.items(), X, Y, W, precision,
+                            {} if cache is None else cache)
+        s = self.den * 10 ** precision
+        return Interval(Fraction(lo, s), Fraction(hi, s))
 
     def gradient_bound(self):
         """sum |u| * (|m| + |n|), an exact bound for |df/dx| + |df/dy|
         in radian units."""
-        g = sum(abs(c) * (abs(m) + abs(n))
-                for (_, m, n), c in self.coeffs.items())
+        g = gradient_sum(self.coeffs.items())
         return g // self.den if g % self.den == 0 else Fraction(g, self.den)
 
     def term_list(self):

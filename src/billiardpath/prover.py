@@ -3,11 +3,11 @@
 A region system packages, for one code under one letter assignment,
 everything needed to certify axis-aligned squares: the convex bounding
 polygon, the unstable line when there is one, and the turning scores of the
-retained key points compiled to integer rows over a shared list of sine and
-cosine atoms.  ``certify_square`` runs the gradient step on one square,
-``cover`` drives a quadtree over a target polygon until every piece is
-certified or the depth budget runs out, ``triple_rule`` closes squares that
-straddle an unstable line between two adjacent regions, and
+retained key points compiled to rows of integer sine and cosine terms.
+``certify_square`` runs the gradient step on one square, ``cover`` drives
+a quadtree over a target polygon until every piece is certified or the
+depth budget runs out, ``triple_rule`` closes squares that straddle an
+unstable line between two adjacent regions, and
 ``infinite_pattern`` recognizes the two one-parameter code families that
 take over near the thin-triangle corner.
 
@@ -15,16 +15,15 @@ Everything on the certification path is exact: rational centers, integer
 coefficients, and enclosures rounded outward on a fixed decimal grid, so a
 positive verdict is a proof and a cover file is reproducible bit for bit.
 Its inner loops run on integers: corner tests evaluate the polygon's
-integer faces on homogeneous triples (X, Y, W), each atom's enclosure comes
-straight from the scaled-integer kernel ``numeric.sin_scaled`` with the
-center as (X, Y, W), and the sweep bumps are integer ceiling divisions, so
-no ``Fraction`` or ``Interval`` is built per atom or per row.
+integer faces on homogeneous triples (X, Y, W), each row is summed by the
+one trig-sum rule ``numeric.sum_bounds`` with the center as (X, Y, W), and
+the sweep bumps are integer ceiling divisions, so no ``Fraction`` or
+``Interval`` is built per atom or per row.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
 from fractions import Fraction
 
@@ -33,7 +32,8 @@ from .classify import (angle_bounding_polygon, corner_bounding_polygon,
 from .geometry import (clip_polygon, line_segment_in_halfplanes,
                        polygon_area2, polygon_bbox, segment_midpoint,
                        to_homogeneous)
-from .numeric import MIN_PRECISION, TrigPoly, pi_enclosure, sin_scaled
+from .numeric import (MIN_PRECISION, TrigPoly, gradient_sum, pi_enclosure,
+                      sum_bounds)
 from .sequences import CodeSequence, all_assignments
 from .tower import BLACK, pruned_key_points, symbolic_tower
 
@@ -126,16 +126,16 @@ class RegionSystem:
 
     ``kind`` is "band" for stable codes and "line" for unstable ones; a
     line system certifies only the piece of its line inside a square.
-    ``rows`` hold the key-point scores as parallel integer arrays indexed
-    into ``atoms``; every row shares one positive denominator so sign
-    comparisons need no further scaling.
+    ``rows`` hold the key-point scores as (is_black, terms, g): ``terms``
+    are ((kind, m, n), c) pairs with integer ``c`` for ``numeric.sum_bounds``
+    and ``g`` is their gradient sum.  Every row shares one positive
+    denominator ``den`` so sign comparisons need no further scaling.
     """
 
     __slots__ = ("code", "asg", "kind", "polygon", "line", "sym", "keys",
-                 "atoms", "rows", "den", "_deriv")
+                 "rows", "den", "_deriv")
 
-    def __init__(self, code, asg, kind, polygon, line, sym, keys, atoms,
-                 rows, den):
+    def __init__(self, code, asg, kind, polygon, line, sym, keys, rows, den):
         self.code = code
         self.asg = asg
         self.kind = kind
@@ -143,7 +143,6 @@ class RegionSystem:
         self.line = line
         self.sym = sym
         self.keys = keys
-        self.atoms = atoms
         self.rows = rows
         self.den = den
         self._deriv = None
@@ -164,32 +163,20 @@ class RegionSystem:
         coefficient sweep cannot decide ever need these.
         """
         if self._deriv is None:
-            atom_index: dict = {}
-            atoms: list = []
             rows = []
-            for _, ais, cis, _ in self.rows:
+            for _, terms, _ in self.rows:
                 parts = []
-                for sel in (0, 1):
-                    dais = array("i")
-                    dcis = array("q")
-                    g2 = 0
-                    for ai, ci in zip(ais, cis):
-                        k, m, n = self.atoms[ai]
-                        f = m if sel == 0 else n
-                        if f == 0:
-                            continue
-                        dk = "cos" if k == "sin" else "sin"
-                        dc = ci * f if k == "sin" else -ci * f
-                        di = atom_index.get((dk, m, n))
-                        if di is None:
-                            di = atom_index[(dk, m, n)] = len(atoms)
-                            atoms.append((dk, m, n))
-                        dais.append(di)
-                        dcis.append(dc)
-                        g2 += abs(dc) * (abs(m) + abs(n))
-                    parts.append((dais, dcis, g2))
+                for sel in (1, 2):  # m for d/dx, n for d/dy
+                    dterms = []
+                    for key, c in terms:
+                        k, m, n = key
+                        f = key[sel]
+                        if f:
+                            dterms.append((("cos", m, n), c * f) if k == "sin"
+                                          else (("sin", m, n), -c * f))
+                    parts.append((tuple(dterms), gradient_sum(dterms)))
                 rows.append(tuple(parts))
-            self._deriv = (tuple(atoms), tuple(rows))
+            self._deriv = tuple(rows)
         return self._deriv
 
     def pair_polys(self):
@@ -230,27 +217,14 @@ def region_system(code: CodeSequence, asg=None) -> RegionSystem:
     polys = [sym.score_poly(p) for p in keys]
     # the scores' denominators are powers of two; one common multiple
     den = math.lcm(*(sp.den for sp in polys))
-    atom_index: dict = {}
-    atoms: list = []
     rows = []
     for p, sp in zip(keys, polys):
-        ais = array("i")
-        cis = array("q")
-        g = 0
         scale = den // sp.den
-        for (k, m, n), c in sorted(sp.coeffs.items()):
-            ci = c * scale
-            ai = atom_index.get((k, m, n))
-            if ai is None:
-                ai = atom_index[(k, m, n)] = len(atoms)
-                atoms.append((k, m, n))
-            ais.append(ai)
-            cis.append(ci)
-            g += abs(ci) * (abs(m) + abs(n))
-        rows.append((p.color == BLACK, ais, cis, g))
+        terms = tuple((key, c * scale) for key, c in sorted(sp.coeffs.items()))
+        rows.append((p.color == BLACK, terms, gradient_sum(terms)))
     sym._scores.clear()
     return RegionSystem(code, asg, kind, polygon, line, sym, keys,
-                        tuple(atoms), tuple(rows), den)
+                        tuple(rows), den)
 
 
 _RAD_UP: dict = {}
@@ -266,28 +240,6 @@ def _rad_per_degree_upper(precision: int) -> Fraction:
 def _ceil_times(q: Fraction, k: int) -> int:
     """ceil(q * k) for an integer k, without building the product."""
     return -((-k * q.numerator) // q.denominator)
-
-
-def _atom_bounds(atoms, center, precision, cache):
-    """Scaled-integer enclosures of every atom at one rational point.
-
-    ``cache`` maps (kind, m, n) to bounds and belongs to one point and one
-    precision.  The point goes in as a homogeneous integer triple (X, Y, W),
-    so each argument m*x + n*y (plus 90 for a cosine) is the integer ratio
-    (m*X + n*Y (+ 90*W)) / W handed to the kernel as it is.
-    """
-    X, Y, W = to_homogeneous(center)
-    out = []
-    for key in atoms:
-        got = cache.get(key)
-        if got is None:
-            k, m, n = key
-            num = m * X + n * Y
-            if k == "cos":
-                num += 90 * W
-            got = cache[key] = sin_scaled(num, W, precision)
-        out.append(got)
-    return out
 
 
 def _chord_in_square(system: RegionSystem, square: Square):
@@ -331,22 +283,14 @@ def certify_square(system: RegionSystem, square: Square,
             return Certificate("fail", note="line misses the square")
         center = segment_midpoint(chord)
     scale = 10 ** precision
+    X, Y, W = to_homogeneous(center)
     cache: dict = {}
-    bounds = _atom_bounds(system.atoms, center, precision, cache)
     base = _rad_per_degree_upper(precision) * square.r * scale
     black_min = blue_max = None
     black_hi_min = blue_lo_max = None
     evals = []
-    for is_black, ais, cis, g in system.rows:
-        lo = hi = 0
-        for ai, ci in zip(ais, cis):
-            alo, ahi = bounds[ai]
-            if ci >= 0:
-                lo += ci * alo
-                hi += ci * ahi
-            else:
-                lo += ci * ahi
-                hi += ci * alo
+    for is_black, terms, g in system.rows:
+        lo, hi = sum_bounds(terms, X, Y, W, precision, cache)
         bump = _ceil_times(base, g)
         evals.append((is_black, lo, hi, bump))
         if is_black:
@@ -374,22 +318,13 @@ def certify_square(system: RegionSystem, square: Square,
     # where each sup over the square is the center value widened by the
     # derivative's own coefficient-sum sweep.  Never looser than the plain
     # bump, so passes already issued are unaffected.
-    datoms, drows = system.deriv_rows()
-    dbounds = _atom_bounds(datoms, center, precision, cache)
+    drows = system.deriv_rows()
     rad = _rad_per_degree_upper(precision) * square.r
     black_min = blue_max = None
     for (is_black, lo, hi, bump), parts in zip(evals, drows):
         sup = 0
-        for dais, dcis, g2 in parts:
-            dlo = dhi = 0
-            for ai, ci in zip(dais, dcis):
-                alo, ahi = dbounds[ai]
-                if ci >= 0:
-                    dlo += ci * alo
-                    dhi += ci * ahi
-                else:
-                    dlo += ci * ahi
-                    dhi += ci * alo
+        for dterms, g2 in parts:
+            dlo, dhi = sum_bounds(dterms, X, Y, W, precision, cache)
             sup += max(abs(dlo), abs(dhi)) + _ceil_times(base, g2)
         bump2 = min(bump, _ceil_times(rad, sup))
         if is_black:
@@ -510,7 +445,7 @@ class CoverResult:
         precision = int(_field(lines[1], "precision"))
         max_depth = int(_field(lines[2], "max-depth"))
         target = tuple(
-            tuple(Fraction(v) for v in pair.split(","))
+            tuple(_rational(v, lines[3]) for v in pair.split(","))
             for pair in _field(lines[3], "target").split())
         corpus_size = int(_field(lines[4], "corpus-size"))
         if not lines[-1].startswith("summary "):
@@ -519,14 +454,15 @@ class CoverResult:
         for ln in lines[5:-1]:
             parts = ln.split()
             if parts[0] == "square" and len(parts) == 7:
-                x, y, r = (Fraction(v) for v in parts[1:4])
+                x, y, r = (_rational(v, ln) for v in parts[1:4])
                 if not parts[6].startswith("p"):
                     raise ValueError(f"bad precision tag: {ln!r}")
                 records.append(CoverRecord(
-                    Square(x, y, r), int(parts[4]), Fraction(parts[5]),
+                    Square(x, y, r), int(parts[4]), _rational(parts[5], ln),
                     int(parts[6][1:])))
             elif parts[0] == "failure" and len(parts) == 4:
-                failures.append(Square(*(Fraction(v) for v in parts[1:4])))
+                failures.append(Square(*(_rational(v, ln)
+                                         for v in parts[1:4])))
             else:
                 raise ValueError(f"unrecognized cover line: {ln!r}")
         summary = dict(kv.split("=", 1) for kv in lines[-1].split()[1:])
@@ -540,11 +476,20 @@ class CoverResult:
         stated = summary["min-margin"]
         if (int(summary["squares"]) != out.square_count
                 or int(summary["failures"]) != len(out.failures)
-                or (stated != "none" and Fraction(stated) != mm)
+                or (stated != "none" and _rational(stated, lines[-1]) != mm)
                 or (stated == "none") != (mm is None)
                 or summary["complete"] != ("yes" if out.complete else "no")):
             raise ValueError("summary does not match the records")
         return out
+
+
+def _rational(text: str, line: str) -> Fraction:
+    """One number of a cover-file line; a bad one names its line."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational number {text!r} in cover line "
+                         f"{line!r}") from None
 
 
 def _field(line: str, name: str) -> str:

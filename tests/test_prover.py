@@ -123,8 +123,12 @@ class TestRegionSystem:
         assert len(orthic.rows) == 6
         assert sorted({row[0] for row in orthic.rows}) == [False, True]
         assert orthic.den == 1
-        assert orthic.atoms == (("cos", 0, 0), ("cos", 0, 2),
-                                ("cos", 2, 2), ("cos", 2, 0))
+        assert {key for _, terms, _ in orthic.rows for key, _ in terms} == {
+            ("cos", 0, 0), ("cos", 0, 2), ("cos", 2, 2), ("cos", 2, 0)}
+        for _, terms, g in orthic.rows:
+            assert all(isinstance(c, int) and c for _, c in terms)
+            assert g == sum(abs(c) * (abs(m) + abs(n))
+                            for (_, m, n), c in terms)
 
     def test_unstable_compiles_to_line(self, repeat_zx):
         assert repeat_zx.kind == "line"
@@ -380,6 +384,15 @@ class TestCover:
             "summary squares=0 failures=0\n"
         with pytest.raises(ValueError):
             CoverResult.parse(summary)
+        # a zero denominator is bad input, reported with its line
+        lines = text.splitlines()
+        assert lines[3].startswith("target ")
+        assert lines[5].startswith("square ")
+        for i, bad in ((3, "target 0/0,0 1,0 0,1"),
+                       (5, "square 1/4 1/0 1/8 0 1 p7")):
+            corrupt = "\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n"
+            with pytest.raises(ValueError, match="cover line"):
+                CoverResult.parse(corrupt)
 
 
 class TestTripleRule:
