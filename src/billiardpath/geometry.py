@@ -93,14 +93,6 @@ def intersect_homogeneous(halfplanes):
     return poly
 
 
-def intersect_halfplanes(halfplanes):
-    """Vertices of the closure of the intersection, possibly empty.
-
-    The halfplanes are integer triples, cut from ``BASE_TRIANGLE``.
-    """
-    return [to_point(v) for v in intersect_homogeneous(halfplanes)]
-
-
 def polygon_area2(vertices) -> Fraction:
     """Twice the signed area."""
     s = Fraction(0)

@@ -19,6 +19,14 @@ integer faces on homogeneous triples (X, Y, W), each row is summed by the
 one trig-sum rule ``numeric.sum_bounds`` with the center as (X, Y, W), and
 the sweep bumps are integer ceiling divisions, so no ``Fraction`` or
 ``Interval`` is built per atom or per row.
+
+Exact work is done only where it can change the answer.  A float screen
+with a proven error slack rejects a square whose center certainly fails
+before any exact sum; a gate on the integers marks an indeterminate
+square that no precision could pass, and ``cover`` does not retry it;
+and ``cover`` shares one kernel cache among the candidates of a square.
+Floats only ever skip work whose exact verdict is a known "fail", so
+every record is what the exact path alone would write.
 """
 
 from __future__ import annotations
@@ -130,10 +138,13 @@ class RegionSystem:
     are ((kind, m, n), c) pairs with integer ``c`` for ``numeric.sum_bounds``
     and ``g`` is their gradient sum.  Every row shares one positive
     denominator ``den`` so sign comparisons need no further scaling.
+    ``screen`` holds the same rows for the float screen of
+    ``certify_square``: the distinct atoms, then per row (is_black, atom
+    indices, float coefficients c/den, sum |c|/den, float-error slack).
     """
 
     __slots__ = ("code", "asg", "kind", "polygon", "line", "sym", "keys",
-                 "rows", "den", "_deriv")
+                 "rows", "den", "screen", "_deriv")
 
     def __init__(self, code, asg, kind, polygon, line, sym, keys, rows, den):
         self.code = code
@@ -145,6 +156,7 @@ class RegionSystem:
         self.keys = keys
         self.rows = rows
         self.den = den
+        self.screen = _screen_rows(rows, den)
         self._deriv = None
 
     @property
@@ -227,19 +239,76 @@ def region_system(code: CodeSequence, asg=None) -> RegionSystem:
                         tuple(rows), den)
 
 
-_RAD_UP: dict = {}
+# Float error of one screened row per unit of sum |c|/den, per term; see
+# ``certify_square`` for the derivation and its safety factor.
+_FLOAT_ERR = 2.0 ** -44
+_RAD = math.pi / 180
 
 
-def _rad_per_degree_upper(precision: int) -> Fraction:
-    got = _RAD_UP.get(precision)
+def _screen_rows(rows, den):
+    atoms = sorted({key for _, terms, _ in rows for key, _ in terms})
+    index = {key: i for i, key in enumerate(atoms)}
+    out = []
+    for is_black, terms, _ in rows:
+        weight = sum(abs(c) for _, c in terms) / den
+        out.append((is_black, tuple(index[key] for key, _ in terms),
+                    tuple(c / den for _, c in terms), weight,
+                    weight * (len(terms) + 64) * _FLOAT_ERR))
+    return tuple(atoms), tuple(out)
+
+
+_RAD_PER_DEGREE: dict = {}
+
+
+def _rad_per_degree(precision: int) -> tuple[Fraction, Fraction]:
+    """Lower and upper bounds of pi/180 from the pi enclosure."""
+    got = _RAD_PER_DEGREE.get(precision)
     if got is None:
-        got = _RAD_UP[precision] = pi_enclosure(precision).hi / 180
+        pi = pi_enclosure(precision)
+        got = _RAD_PER_DEGREE[precision] = (pi.lo / 180, pi.hi / 180)
     return got
 
 
 def _ceil_times(q: Fraction, k: int) -> int:
     """ceil(q * k) for an integer k, without building the product."""
     return -((-k * q.numerator) // q.denominator)
+
+
+def _floor_times(q: Fraction, k: int) -> int:
+    """floor(q * k) for an integer k, without building the product."""
+    return k * q.numerator // q.denominator
+
+
+def _center_fails(system: RegionSystem, X: int, Y: int, W: int,
+                  precision: int) -> bool:
+    """Float screen: True only where the exact center test fails too.
+
+    Each atom's angle is reduced modulo 360 degrees on integers and taken
+    to a double by one rounded division, so no float error grows with the
+    angle.  A row is then known to within its slack (see
+    ``certify_square``) of what its exact bounds enclose.
+    """
+    atoms, rows = system.screen
+    period = 360 * W
+    vals = []
+    for kind, m, n in atoms:
+        num = m * X + n * Y
+        if kind == "cos":
+            num += 90 * W
+        vals.append(math.sin(num % period / W * _RAD))
+    grid = 2 / 10 ** precision
+    black_hi = blue_lo = None
+    for is_black, idx, coef, weight, err in rows:
+        f = 0.0
+        for i, c in zip(idx, coef):
+            f += c * vals[i]
+        slack = weight * grid + err
+        if is_black:
+            if black_hi is None or f + slack < black_hi:
+                black_hi = f + slack
+        elif blue_lo is None or f - slack > blue_lo:
+            blue_lo = f - slack
+    return black_hi is not None and blue_lo is not None and black_hi < blue_lo
 
 
 def _chord_in_square(system: RegionSystem, square: Square):
@@ -258,8 +327,13 @@ def _chord_in_square(system: RegionSystem, square: Square):
     return chord
 
 
+CENTER_FAILS = "center fails the turning test"
+NO_PRECISION_PASSES = "no precision can pass"
+
+
 def certify_square(system: RegionSystem, square: Square,
-                   precision: int = MIN_PRECISION) -> Certificate:
+                   precision: int = MIN_PRECISION,
+                   cache: dict | None = None) -> Certificate:
     """Gradient step on one square: every black key point must outscore
     every blue one across the whole square.
 
@@ -269,7 +343,52 @@ def certify_square(system: RegionSystem, square: Square,
     the pi enclosure.  "fail" is definitive (a corner leaves the polygon,
     the line misses the square, or the center itself fails); otherwise a
     nonpositive sweep margin is only "indeterminate".
+
+    Float screen.  Before any exact sum, every row f is evaluated in
+    doubles at the center, and the one verdict floats may give, "fail"
+    with note ``CENTER_FAILS``, is returned when the minimum over black
+    rows of (f + slack) is below the maximum over blue rows of
+    (f - slack).  With w = sum |c|/den and k terms, a row's slack is
+    w * (2 * 10^-precision + (k + 64) * 2^-44):
+
+    - each kernel enclosure is at most 2 grid units wide and holds the
+      true sine, so the exact row bounds lie within w * 2 * 10^-precision
+      of the true value;
+    - with u = 2^-53, an atom's angle is reduced modulo 360 on integers
+      and divided once (error <= 360u degrees, 2*pi*u radians), then
+      multiplied by the double pi/180 (relative error <= 3u, so 6*pi*u
+      radians below 2*pi): at most 26u radians, and |sin'| <= 1; one ulp
+      of ``math.sin`` adds 2u, so each sine is within 28u.  The rounded
+      c/den and the product add 2u per unit of |c|/den, k sequential
+      additions at most k*u*w, and rounding f +- slack (with the slack's
+      own roundings) 2u*w: in all w * (k + 32) * u.  The slack's
+      w * (k + 64) * 2^-44 covers that 512 times over, enough for a libm
+      sine that is hundreds of ulps off.
+
+    So the screen fails a square only where the exact bounds fail it too;
+    passes, margins and every other verdict come from the integers.
+
+    Retry gate.  When the derivative sweep leaves the square
+    indeterminate, each row gets a lower bound, on this precision's grid,
+    of its bump at any precision: the smaller of the coefficient bump
+    floor(rho * g) and the derivative bump floor(rho * d / 10^precision),
+    where rho = r * pi_lo/180 * 10^precision with pi_lo the lower end of
+    the pi enclosure, and d sums over both parts the distance of the
+    derivative bounds from 0 plus floor(rho * g2).  Every precision's
+    bounds enclose the true score, which lies in [lo, hi], so a pass at
+    any precision needs min over black rows of (hi - bump) above max over
+    blue rows of (lo + bump).  Where it is not, the verdict is
+    "indeterminate" with note ``NO_PRECISION_PASSES``, decided on
+    integers like every pass.
+
+    ``cache`` maps atoms to kernel bounds at the square's center and one
+    precision, and may be shared by band systems certifying the same
+    square; a line system evaluates at its own chord midpoint and takes
+    none.
     """
+    if precision < MIN_PRECISION:
+        raise ValueError(
+            f"precision {precision} below minimum {MIN_PRECISION}")
     if system.empty:
         return Certificate("fail", note="empty region")
     if system.kind == "band":
@@ -278,21 +397,27 @@ def certify_square(system: RegionSystem, square: Square,
                 return Certificate("fail", note="outside the code's polygon")
         center = (square.x, square.y)
     else:
+        if cache is not None:
+            raise ValueError("a line system takes no shared kernel cache")
         chord = _chord_in_square(system, square)
         if chord is None:
             return Certificate("fail", note="line misses the square")
         center = segment_midpoint(chord)
-    scale = 10 ** precision
     X, Y, W = to_homogeneous(center)
-    cache: dict = {}
-    base = _rad_per_degree_upper(precision) * square.r * scale
+    if _center_fails(system, X, Y, W, precision):
+        return Certificate("fail", note=CENTER_FAILS)
+    if cache is None:
+        cache = {}
+    scale = 10 ** precision
+    rad_lo, rad = (q * square.r for q in _rad_per_degree(precision))
+    base = rad * scale
     black_min = blue_max = None
     black_hi_min = blue_lo_max = None
     evals = []
     for is_black, terms, g in system.rows:
         lo, hi = sum_bounds(terms, X, Y, W, precision, cache)
         bump = _ceil_times(base, g)
-        evals.append((is_black, lo, hi, bump))
+        evals.append((is_black, lo, hi, bump, g))
         if is_black:
             swept = lo - bump
             if black_min is None or swept < black_min:
@@ -311,7 +436,7 @@ def certify_square(system: RegionSystem, square: Square,
         margin = Fraction(black_min - blue_max, system.den * scale)
         return Certificate("pass", margin)
     if black_hi_min <= blue_lo_max:
-        return Certificate("fail", note="center fails the turning test")
+        return Certificate("fail", note=CENTER_FAILS)
     # The coefficient-sum sweep was too pessimistic.  Bound the score
     # movement again through the derivative polynomials evaluated at the
     # center: |f(q) - f(center)| <= r*(pi/180)*(sup|df/dx| + sup|df/dy|),
@@ -319,25 +444,34 @@ def certify_square(system: RegionSystem, square: Square,
     # derivative's own coefficient-sum sweep.  Never looser than the plain
     # bump, so passes already issued are unaffected.
     drows = system.deriv_rows()
-    rad = _rad_per_degree_upper(precision) * square.r
+    base_lo = rad_lo * scale  # for the gate: no precision sweeps less
     black_min = blue_max = None
-    for (is_black, lo, hi, bump), parts in zip(evals, drows):
-        sup = 0
+    black_reach = blue_reach = None
+    for (is_black, lo, hi, bump, g), parts in zip(evals, drows):
+        sup = dist = 0
         for dterms, g2 in parts:
             dlo, dhi = sum_bounds(dterms, X, Y, W, precision, cache)
             sup += max(abs(dlo), abs(dhi)) + _ceil_times(base, g2)
+            dist += max(dlo, -dhi, 0) + _floor_times(base_lo, g2)
         bump2 = min(bump, _ceil_times(rad, sup))
+        bump_lo = min(_floor_times(base_lo, g), _floor_times(rad_lo, dist))
         if is_black:
             swept = lo - bump2
             if black_min is None or swept < black_min:
                 black_min = swept
+            if black_reach is None or hi - bump_lo < black_reach:
+                black_reach = hi - bump_lo
         else:
             swept = hi + bump2
             if blue_max is None or swept > blue_max:
                 blue_max = swept
+            if blue_reach is None or lo + bump_lo > blue_reach:
+                blue_reach = lo + bump_lo
     if black_min > blue_max:
         margin = Fraction(black_min - blue_max, system.den * scale)
         return Certificate("pass", margin)
+    if black_reach <= blue_reach:
+        return Certificate("indeterminate", note=NO_PRECISION_PASSES)
     return Certificate("indeterminate")
 
 
@@ -437,17 +571,22 @@ class CoverResult:
 
     @classmethod
     def parse(cls, text: str) -> "CoverResult":
+        """Rebuild a result from its text; anything a cover cannot have
+        written raises ``ValueError`` naming the offending line."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0].split() != ["cover", "1"]:
             raise ValueError("not a cover file")
         if len(lines) < 6:
             raise ValueError("truncated cover file")
-        precision = int(_field(lines[1], "precision"))
-        max_depth = int(_field(lines[2], "max-depth"))
+        precision = _integer(_field(lines[1], "precision"), lines[1])
+        if precision < MIN_PRECISION:
+            raise ValueError(f"precision below {MIN_PRECISION} in cover line "
+                             f"{lines[1]!r}")
+        max_depth = _integer(_field(lines[2], "max-depth"), lines[2])
         target = tuple(
             tuple(_rational(v, lines[3]) for v in pair.split(","))
             for pair in _field(lines[3], "target").split())
-        corpus_size = int(_field(lines[4], "corpus-size"))
+        corpus_size = _integer(_field(lines[4], "corpus-size"), lines[4])
         if not lines[-1].startswith("summary "):
             raise ValueError("missing summary line")
         records, failures = [], []
@@ -455,28 +594,46 @@ class CoverResult:
             parts = ln.split()
             if parts[0] == "square" and len(parts) == 7:
                 x, y, r = (_rational(v, ln) for v in parts[1:4])
+                index = _integer(parts[4], ln)
+                margin = _rational(parts[5], ln)
                 if not parts[6].startswith("p"):
                     raise ValueError(f"bad precision tag: {ln!r}")
-                records.append(CoverRecord(
-                    Square(x, y, r), int(parts[4]), _rational(parts[5], ln),
-                    int(parts[6][1:])))
+                tag = _integer(parts[6][1:], ln)
+                if not 0 <= index < corpus_size:
+                    raise ValueError(f"code index outside the corpus in "
+                                     f"cover line {ln!r}")
+                if margin <= 0:
+                    raise ValueError(f"nonpositive margin in cover line "
+                                     f"{ln!r}")
+                if tag < MIN_PRECISION:
+                    raise ValueError(f"precision below {MIN_PRECISION} in "
+                                     f"cover line {ln!r}")
+                records.append(
+                    CoverRecord(Square(x, y, r), index, margin, tag))
             elif parts[0] == "failure" and len(parts) == 4:
                 failures.append(Square(*(_rational(v, ln)
                                          for v in parts[1:4])))
             else:
                 raise ValueError(f"unrecognized cover line: {ln!r}")
-        summary = dict(kv.split("=", 1) for kv in lines[-1].split()[1:])
+        summary = {}
+        for kv in lines[-1].split()[1:]:
+            name, eq, value = kv.partition("=")
+            if not eq:
+                raise ValueError(f"summary item without '=' in cover line "
+                                 f"{lines[-1]!r}")
+            summary[name] = value
         missing = {"squares", "failures", "min-margin", "max-depth-used",
                    "complete"} - summary.keys()
         if missing:
             raise ValueError(f"summary lacks {', '.join(sorted(missing))}")
+        last = lines[-1]
         out = cls(target, corpus_size, precision, max_depth, records,
-                  failures, int(summary["max-depth-used"]))
+                  failures, _integer(summary["max-depth-used"], last))
         mm = out.min_margin
         stated = summary["min-margin"]
-        if (int(summary["squares"]) != out.square_count
-                or int(summary["failures"]) != len(out.failures)
-                or (stated != "none" and _rational(stated, lines[-1]) != mm)
+        if (_integer(summary["squares"], last) != out.square_count
+                or _integer(summary["failures"], last) != len(out.failures)
+                or (stated != "none" and _rational(stated, last) != mm)
                 or (stated == "none") != (mm is None)
                 or summary["complete"] != ("yes" if out.complete else "no")):
             raise ValueError("summary does not match the records")
@@ -489,6 +646,15 @@ def _rational(text: str, line: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a rational number {text!r} in cover line "
+                         f"{line!r}") from None
+
+
+def _integer(text: str, line: str) -> int:
+    """One integer of a cover-file line; a bad one names its line."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer {text!r} in cover line "
                          f"{line!r}") from None
 
 
@@ -512,7 +678,10 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
     nodes missing the target (or overlapping it with zero area) are
     dropped, certified nodes become records, everything else splits until
     ``max_depth``, where the uncovered squares are reported as failures.
-    An indeterminate verdict retries at double precision before splitting.
+    An indeterminate verdict retries at double precision before splitting,
+    unless ``certify_square``'s gate showed that no precision can pass;
+    such a candidate still leads its children's candidate order.  The
+    candidates of one square share one kernel cache per precision.
     Candidate order is the corpus order filtered down the parent chain,
     with the parent's most promising code tried first.  Only the plans
     whose corner bound (``corner_bounding_polygon``) has a box meeting the
@@ -575,7 +744,10 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
             cands.remove(hint)
             cands.insert(0, hint)
         corners = square.corners()
-        p, cert, pending = precision, None, []
+        p, cert, pending, retry = precision, None, [], []
+        # every plan is a band system evaluated at the square's center, so
+        # one kernel cache serves them all at one precision
+        cache: dict = {}
         for plan in cands:
             key, poly, (bx0, by0, bx1, by1) = plan
             # cheap gates first: a square poking out of the outer bounding
@@ -585,15 +757,17 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
                 continue
             if not all(poly.contains_point(cx, cy) for cx, cy in corners):
                 continue
-            cert = certify_square(system(key), square, p)
+            cert = certify_square(system(key), square, p, cache)
             if cert.passed:
                 break
             if cert.status == "indeterminate":
                 pending.append(plan)
+                if cert.note != NO_PRECISION_PASSES:
+                    retry.append(plan)
         else:
-            p = 2 * precision
-            for plan in pending:
-                cert = certify_square(system(plan[0]), square, p)
+            p, cache = 2 * precision, {}
+            for plan in retry:
+                cert = certify_square(system(plan[0]), square, p, cache)
                 if cert.passed:
                     break
         if cert is not None and cert.passed:
@@ -617,7 +791,7 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
 
 def _positive_on_square(poly: TrigPoly, center, r, precision, cache) -> bool:
     iv = poly.eval(center[0], center[1], precision, cache)
-    bump = _rad_per_degree_upper(precision) * r * poly.gradient_bound()
+    bump = _rad_per_degree(precision)[1] * r * poly.gradient_bound()
     return iv.lo - bump > 0
 
 

@@ -499,16 +499,6 @@ def unfold(code: CodeSequence, asg: AngleAssignment, tri, y=None,
     return symbolic_tower(code, asg).at(tri.x, tri.y, precision)
 
 
-def unfold_raw(codes, letters, before: str, x, y,
-               precision: int = MIN_PRECISION) -> Tower:
-    """Tower for explicit code numbers and per-position letters, skipping
-    the closed-path legality checks.  ``before`` is the letter that would
-    precede position one.  Meant for open partial chains."""
-    code = CodeSequence(tuple(codes))
-    sym = SymbolicTower(code, letters=list(letters), before=before)
-    return sym.at(x, y, precision)
-
-
 class Triangle:
     """A triangle pinned down by its first two angles, in degrees.
 

@@ -7,27 +7,31 @@ from math import gcd
 from billiardpath.geometry import (
     BASE_TRIANGLE,
     clip_polygon,
-    intersect_halfplanes,
     intersect_homogeneous,
     line_segment_in_halfplanes,
     point_satisfies,
     polygon_area2,
     polygon_bbox,
     segment_midpoint,
+    to_point,
 )
 
 F = Fraction
 
 
+def intersection_points(halfplanes):
+    return [to_point(v) for v in intersect_homogeneous(halfplanes)]
+
+
 def test_base_triangle_polygon():
-    verts = intersect_halfplanes([])
+    verts = intersection_points([])
     assert sorted(verts) == [(F(0), F(0)), (F(0), F(180)), (F(180), F(0))]
     assert polygon_area2(verts) == 180 * 180
 
 
 def test_clip_to_square():
     square = [(1, 0, 0), (0, 1, 0), (-1, 0, 90), (0, -1, 90)]
-    verts = intersect_halfplanes(square)
+    verts = intersection_points(square)
     assert sorted(verts) == [(F(0), F(0)), (F(0), F(90)),
                              (F(90), F(0)), (F(90), F(90))]
     assert polygon_bbox(verts) == (F(0), F(0), F(90), F(90))
@@ -37,9 +41,9 @@ def test_clip_to_square():
 
 
 def test_empty_intersection():
-    assert intersect_halfplanes([(1, 0, -200)]) == []
+    assert intersection_points([(1, 0, -200)]) == []
     # two opposite strict constraints leave a line, area collapses
-    degenerate = intersect_halfplanes([(1, 0, 0), (-1, 0, 0)])
+    degenerate = intersection_points([(1, 0, 0), (-1, 0, 0)])
     assert polygon_area2(degenerate) == 0
 
 
@@ -151,7 +155,7 @@ def test_integer_clipping_matches_fraction_rule():
     cases = FIXED_CASES + [random_halfplanes(rng) for _ in range(400)]
     for hps in cases:
         want = reference_intersection(hps)
-        assert intersect_halfplanes(hps) == want, hps
+        assert intersection_points(hps) == want, hps
         for X, Y, W in intersect_homogeneous(hps):
             assert W > 0 and gcd(X, Y, W) == 1
         shapes.add("empty" if not want else
@@ -162,7 +166,7 @@ def test_integer_clipping_matches_fraction_rule():
 def test_clip_polygon_matches_fraction_rule_on_rationals():
     rng = random.Random(21)
     for _ in range(200):
-        poly = intersect_halfplanes(random_halfplanes(rng))
+        poly = intersection_points(random_halfplanes(rng))
         if not poly:
             continue
         hp = (F(rng.randrange(-9, 10), rng.randrange(1, 5)),

@@ -6,16 +6,23 @@ machinery directly, cross-checked against the straightened-chain tests at
 sample points, before being frozen here.
 """
 
+import collections
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from billiardpath import prover
 from billiardpath.classify import (angle_bounding_polygon, classify_code,
                                    corner_bounding_polygon)
 from billiardpath.corpus import load_default_corpus
-from billiardpath.geometry import polygon_bbox
+from billiardpath.geometry import (clip_polygon, polygon_bbox,
+                                   segment_midpoint, to_homogeneous)
+from billiardpath.numeric import pi_enclosure, sin_scaled, sum_bounds
 from billiardpath.prover import (
+    CENTER_FAILS,
+    NO_PRECISION_PASSES,
     Certificate,
     CoverRecord,
     CoverResult,
@@ -23,6 +30,7 @@ from billiardpath.prover import (
     RegionSystem,
     Square,
     _bbox_meets,
+    _chord_in_square,
     certify_square,
     cover,
     infinite_pattern,
@@ -39,6 +47,125 @@ ORTHIC = CodeSequence([1, 1, 1])
 SQUARE_REPEAT = CodeSequence([1, 2, 1, 2])
 # x in [30, 35] of the strip between x + y = 75 and x + y = 80
 STRIP_SLICE = [(F(30), F(45)), (F(35), F(40)), (F(35), F(45)), (F(30), F(50))]
+# x in [23/2, 12], y in [257/4, 129/2], covered against five corpus codes
+DEEP_BOX = [(F(23, 2), F(257, 4)), (F(12), F(257, 4)), (F(12), F(129, 2)),
+            (F(23, 2), F(129, 2))]
+DEEP_CODES = (21, 43, 90, 91, 100)
+
+
+def thin_target():
+    """x in [10, 12] of the ``strip-75-80`` preset."""
+    target = list(PRESETS["strip-75-80"])
+    for hp in ((1, 0, -10), (-1, 0, 12)):
+        target = clip_polygon(target, hp)
+    return target
+
+
+def _ceil_times(q, k):
+    return -((-k * q.numerator) // q.denominator)
+
+
+def reference_certify(system, square, precision=7):
+    """``certify_square`` as it was before its float screen and retry gate:
+    every verdict from the exact integers alone."""
+    if system.empty:
+        return Certificate("fail", note="empty region")
+    if system.kind == "band":
+        for cx, cy in square.corners():
+            if not system.polygon.contains_point(cx, cy):
+                return Certificate("fail", note="outside the code's polygon")
+        center = (square.x, square.y)
+    else:
+        chord = _chord_in_square(system, square)
+        if chord is None:
+            return Certificate("fail", note="line misses the square")
+        center = segment_midpoint(chord)
+    scale = 10 ** precision
+    X, Y, W = to_homogeneous(center)
+    cache = {}
+    base = pi_enclosure(precision).hi / 180 * square.r * scale
+    black_min = blue_max = None
+    black_hi_min = blue_lo_max = None
+    evals = []
+    for is_black, terms, g in system.rows:
+        lo, hi = sum_bounds(terms, X, Y, W, precision, cache)
+        bump = _ceil_times(base, g)
+        evals.append((is_black, lo, hi, bump))
+        if is_black:
+            swept = lo - bump
+            if black_min is None or swept < black_min:
+                black_min = swept
+            if black_hi_min is None or hi < black_hi_min:
+                black_hi_min = hi
+        else:
+            swept = hi + bump
+            if blue_max is None or swept > blue_max:
+                blue_max = swept
+            if blue_lo_max is None or lo > blue_lo_max:
+                blue_lo_max = lo
+    if black_min is None or blue_max is None:
+        raise ValueError("system lacks one of the two colors")
+    if black_min > blue_max:
+        margin = Fraction(black_min - blue_max, system.den * scale)
+        return Certificate("pass", margin)
+    if black_hi_min <= blue_lo_max:
+        return Certificate("fail", note="center fails the turning test")
+    drows = system.deriv_rows()
+    rad = pi_enclosure(precision).hi / 180 * square.r
+    black_min = blue_max = None
+    for (is_black, lo, hi, bump), parts in zip(evals, drows):
+        sup = 0
+        for dterms, g2 in parts:
+            dlo, dhi = sum_bounds(dterms, X, Y, W, precision, cache)
+            sup += max(abs(dlo), abs(dhi)) + _ceil_times(base, g2)
+        bump2 = min(bump, _ceil_times(rad, sup))
+        if is_black:
+            swept = lo - bump2
+            if black_min is None or swept < black_min:
+                black_min = swept
+        else:
+            swept = hi + bump2
+            if blue_max is None or swept > blue_max:
+                blue_max = swept
+    if black_min > blue_max:
+        margin = Fraction(black_min - blue_max, system.den * scale)
+        return Certificate("pass", margin)
+    return Certificate("indeterminate")
+
+
+def traced_cover(target, codes):
+    """Run ``cover`` with counting wrappers around ``certify_square`` and
+    the float screen; returns the result, every certify call as
+    (system, square, precision, certificate), and the screen's fails."""
+    calls, screened = [], collections.Counter()
+    real_certify, real_screen = prover.certify_square, prover._center_fails
+
+    def certify(system, square, precision=7, cache=None):
+        cert = real_certify(system, square, precision, cache)
+        calls.append((system, square, precision, cert))
+        return cert
+
+    def screen(*args):
+        got = real_screen(*args)
+        screened[got] += 1
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prover, "certify_square", certify)
+        mp.setattr(prover, "_center_fails", screen)
+        result = cover(target, codes)
+    return result, calls, screened
+
+
+@pytest.fixture(scope="module")
+def deep_run():
+    corpus = load_default_corpus()
+    return traced_cover(DEEP_BOX, [corpus[i] for i in DEEP_CODES])
+
+
+@pytest.fixture(scope="module")
+def thin_run():
+    return traced_cover(thin_target(), load_default_corpus())
 
 
 # cover([(40, 50), (80, 50), (60, 80)], [ORTHIC], max_depth=3)
@@ -314,6 +441,35 @@ class TestCover:
         assert hashlib.sha256(res.to_text().encode()).hexdigest() == \
             "a4c4c18f2e00b6c16c47a3d2fb32b3cd03963f15725b880b5d1061081154b93f"
 
+    def test_frozen_thin_cover_digest(self, thin_run):
+        # x in [10, 12] of strip-75-80 against all 134 codes: a 479-square,
+        # nine-level cover whose certify calls split like the full strip's
+        # (center fails, indeterminate, pass), frozen as a sha256 before
+        # the float screen and the retry gate
+        res, calls, screened = thin_run
+        assert res.complete
+        assert res.square_count == 479
+        assert res.max_depth_used == 9
+        assert hashlib.sha256(res.to_text().encode()).hexdigest() == \
+            "69c727662089aace5335a977ff87ed320508eeff90af6d158946982829f0493f"
+        outcomes = collections.Counter((p, c.status, c.note)
+                                       for _, _, p, c in calls)
+        assert outcomes[(7, "fail", CENTER_FAILS)] == 1670
+        assert screened[True] == 1670
+        assert outcomes[(7, "pass", "")] == 479
+        assert outcomes[(7, "indeterminate", NO_PRECISION_PASSES)] == 516
+        assert not [c for c in calls if c[2] != 7]
+
+    def test_retry_at_double_precision_certifies(self):
+        # a square of the full strip-75-80 cover that only passes at 14
+        # digits, covered on its own: the retry gets its own kernel cache
+        corpus = load_default_corpus()
+        sq = Square(F(48595, 4096), F(264375, 4096), F(65, 4096))
+        res = cover(sq.corners(), [corpus[91]])
+        assert res.complete
+        assert [(r.square, r.margin, r.precision) for r in res.records] == \
+            [(sq, F(47382509, 50000000000000), 14)]
+
     def test_only_plans_meeting_the_root_are_compiled(self, monkeypatch):
         seen = set()
 
@@ -393,6 +549,154 @@ class TestCover:
             corrupt = "\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n"
             with pytest.raises(ValueError, match="cover line"):
                 CoverResult.parse(corrupt)
+        # fields no cover writes, and integers that do not parse, are
+        # reported with their line
+        three = text.replace("corpus-size 1", "corpus-size 3")
+        square = [ln for ln in lines if ln.startswith("square ")][0]
+        _, x, y, r, index, margin, tag = square.split()
+        assert (index, tag) == ("0", "p7")
+        for bad in (f"square {x} {y} {r} -1 {margin} p7",
+                    f"square {x} {y} {r} 5 {margin} p7",
+                    f"square {x} {y} {r} x {margin} p7",
+                    f"square {x} {y} {r} 0 0 p7",
+                    f"square {x} {y} {r} 0 -{margin} p7",
+                    f"square {x} {y} {r} 0 {margin} p3",
+                    f"square {x} {y} {r} 0 {margin} px"):
+            with pytest.raises(ValueError, match="cover line"):
+                CoverResult.parse(three.replace(square, bad))
+        assert CoverResult.parse(three.replace(
+            square, f"square {x} {y} {r} 2 {margin} p7")).records[0] \
+            .code_index == 2
+        for bad in ("summary squares=x", "summary complete"):
+            with pytest.raises(ValueError, match="cover line"):
+                CoverResult.parse(text.replace("summary squares=1", bad))
+        for bad in ("precision 3", "precision seven"):
+            with pytest.raises(ValueError, match="cover line"):
+                CoverResult.parse(text.replace("precision 7", bad))
+
+
+class TestFilters:
+    """The float screen and the retry gate of ``certify_square``, and the
+    kernel cache ``cover`` shares across a square's candidates, against
+    the exact reference."""
+
+    @pytest.mark.parametrize("run", ["deep_run", "thin_run"])
+    def test_verdicts_match_the_exact_reference(self, run, request):
+        _, calls, _ = request.getfixturevalue(run)
+        assert calls
+        for system, square, precision, cert in calls:
+            want = reference_certify(system, square, precision)
+            assert (cert.status, cert.margin) == (want.status, want.margin), \
+                (system, square, precision)
+            if want.status == "fail":
+                assert cert.note == want.note
+
+    @pytest.mark.parametrize("run", ["deep_run", "thin_run"])
+    def test_gated_candidates_pass_at_no_precision(self, run, request):
+        _, calls, _ = request.getfixturevalue(run)
+        gated = [(system, square) for system, square, _, cert in calls
+                 if cert.note == NO_PRECISION_PASSES]
+        assert gated
+        for system, square in gated:
+            for precision in (14, 30):
+                assert not reference_certify(system, square, precision).passed
+
+    @pytest.mark.parametrize("x, y, r, index, margin", [
+        (F(48595, 4096), F(264375, 4096), F(65, 4096), 91,
+         F(47382509, 50000000000000)),
+        (F(2947925, 131072), F(7240925, 131072), F(65, 131072), 28,
+         F(1861951, 6250000000000)),
+    ])
+    def test_gate_leaves_squares_that_pass_at_14_digits(self, x, y, r, index,
+                                                        margin):
+        # two of the three squares of the full strip-75-80 cover that
+        # pass only on retry, each against its code under assignment ZY
+        code = load_default_corpus()[index].code
+        asg = [a for a in all_assignments(code)
+               if a.symbol(1) + a.symbol(2) == "ZY"][0]
+        system = region_system(code, asg)
+        sq = Square(x, y, r)
+        first = certify_square(system, sq, 7)
+        assert (first.status, first.note) == ("indeterminate", "")
+        retry = certify_square(system, sq, 14)
+        assert (retry.status, retry.margin) == ("pass", margin)
+        assert reference_certify(system, sq, 14).margin == margin
+
+    def test_screen_fails_only_where_the_exact_center_test_fails(self):
+        # seeded points across the angle plane, anywhere relative to the
+        # systems' polygons, and in the box where they nearly pass: a
+        # screened "fail" must be an exact one
+        corpus = load_default_corpus()
+        systems = [region_system(corpus[i].code) for i in DEEP_CODES]
+        systems.append(region_system(ORTHIC))
+        rng = random.Random(7)
+        seen = collections.Counter()
+        for _ in range(60):
+            den = rng.choice((1, 8, 2 ** 20, 99991))
+            if rng.random() < 0.5:
+                x = F(rng.randrange(1, 90 * den), den)
+                y = F(rng.randrange(1, 90 * den), den)
+            else:
+                x = F(23, 2) + F(rng.randrange(den), 2 * den)
+                y = F(257, 4) + F(rng.randrange(den), 4 * den)
+            X, Y, W = to_homogeneous((x, y))
+            for system in systems:
+                for precision in (7, 14):
+                    screened = prover._center_fails(system, X, Y, W,
+                                                    precision)
+                    seen[screened] += 1
+                    if screened:
+                        black = [sum_bounds(terms, X, Y, W, precision, {})
+                                 for is_black, terms, _ in system.rows
+                                 if is_black]
+                        blue = [sum_bounds(terms, X, Y, W, precision, {})
+                                for is_black, terms, _ in system.rows
+                                if not is_black]
+                        assert min(hi for _, hi in black) <= \
+                            max(lo for lo, _ in blue), (system, x, y)
+        assert seen[True] > 100 and seen[False] > 20, seen
+
+    @pytest.mark.parametrize("precision", [7, 14])
+    def test_screen_slack_covers_the_kernel_width(self, precision):
+        # a black and a blue row equal up to a constant gap: the screen
+        # may fail the center only where the exact bounds, up to 2 grid
+        # units per atom wide, fail it too
+        den = 2 ** 40
+        X, Y, W = to_homogeneous((F(20), F(30)))
+        screened = {}
+        for shift in (10, 20, 30, 40):
+            gap = 2 ** (40 - shift)  # 2^-shift of a unit
+            black = ((("sin", 1, 0), den), (("cos", 1, 1), -den))
+            blue = black + ((("cos", 0, 0), gap),)
+            rows = ((True, black, 0), (False, blue, 0))
+            system = RegionSystem(None, None, "band", None, None, None, (),
+                                  rows, den)
+            lo_hi = [sum_bounds(terms, X, Y, W, precision, {})
+                     for _, terms, _ in rows]
+            exact = lo_hi[0][1] <= lo_hi[1][0]
+            screened[shift] = prover._center_fails(system, X, Y, W,
+                                                   precision)
+            assert exact or not screened[shift], shift
+        # a gap of 2^-20 is past the slack at both precisions, 2^-40
+        # within it; 2^-30 lies between the kernel width at 7 digits and
+        # the float error at 14
+        assert screened == {10: True, 20: True, 30: precision == 14,
+                            40: False}
+
+    def test_kernel_width_is_at_most_two_grid_units(self):
+        # the screen's slack counts 2 grid units per atom
+        rng = random.Random(11)
+        angles = [(num, 1) for num in range(-720, 721, 15)]
+        angles += [(rng.randrange(-2 ** 40, 2 ** 40),
+                    rng.randrange(1, 2 ** 26)) for _ in range(300)]
+        for num, den in angles:
+            for precision in (7, 14, 30):
+                lo, hi = sin_scaled(num, den, precision)
+                assert 0 <= hi - lo <= 2, (num, den, precision)
+
+    def test_line_system_takes_no_shared_cache(self, repeat_zx):
+        with pytest.raises(ValueError, match="cache"):
+            certify_square(repeat_zx, Square(30, 60, F(1, 2)), 7, {})
 
 
 class TestTripleRule:

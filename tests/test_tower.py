@@ -12,8 +12,7 @@ from billiardpath.sequences import (CodeSequence, all_assignments,
                                     assign_angles, symbol_value, third_symbol)
 from billiardpath.tower import (FanAngleError, ShapeError, SymbolicTower,
                                 convex_hull_separation, key_points,
-                                pruned_key_points, symbolic_tower, unfold,
-                                unfold_raw)
+                                pruned_key_points, symbolic_tower, unfold)
 from billiardpath.tower import test_I as band_test
 from billiardpath.tower import test_II as pruned_band_test
 from billiardpath.tower import test_III as shape_test
@@ -347,7 +346,8 @@ class TestHullSeparation:
         assert convex_hull_separation(tower).status == "fail"
 
     def test_open_chain_pair_of_triangles(self):
-        tower = unfold_raw([1, 1], ["X", "Y"], "Z", 40, 75)
+        tower = SymbolicTower(CodeSequence((1, 1)), letters=["X", "Y"],
+                              before="Z").at(40, 75)
         colors = [p.color for p in tower.sym.points]
         assert colors.count("blue") == 2
         assert colors.count("black") == 2
@@ -434,7 +434,9 @@ class TestLinearBuild:
                 for code, first, second in cases]
         syms.append(SymbolicTower(longest.code,
                                   all_assignments(longest.code)[0]))
-        syms.append(unfold_raw([1, 2, 3], ["X", "Y", "Z"], "Y", 40, 75).sym)
+        syms.append(SymbolicTower(CodeSequence((1, 2, 3)),
+                                  letters=["X", "Y", "Z"],
+                                  before="Y").at(40, 75).sym)
         for sym in syms:
             ref = reference_centers(sym)
             assert len(ref) == len(sym.centers)
