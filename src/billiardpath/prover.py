@@ -14,11 +14,19 @@ take over near the thin-triangle corner.
 Everything on the certification path is exact: rational centers, integer
 coefficients, and enclosures rounded outward on a fixed decimal grid, so a
 positive verdict is a proof and a cover file is reproducible bit for bit.
-Its inner loops run on integers: corner tests evaluate the polygon's
-integer faces on homogeneous triples (X, Y, W), each row is summed by the
-one trig-sum rule ``numeric.sum_bounds`` with the center as (X, Y, W), and
-the sweep bumps are integer ceiling divisions, so no ``Fraction`` or
-``Interval`` is built per atom or per row.
+Its inner loops run on integers.  A quadtree square has center (X/W, Y/W)
+and half side R/W, a child doubling W, and one rule decides every test on
+it: over the closed square, a*x + b*y + c ranges exactly over
+(a*X + b*Y + c*W -+ (|a| + |b|) * R) / W (``Square.spread``).  A square lies
+in a polygon when the least value is positive on every face, and meets a
+box when the greatest is nonnegative on its sides.  It overlaps the convex
+target in positive area when the greatest is positive on every target
+edge line and box side: by the separating axis theorem, convex polygons
+with disjoint interiors are parted by a line along an edge of one of them.
+Each row is summed by the one trig-sum rule ``numeric.sum_bounds`` with
+the center as (X, Y, W), and the sweep bumps are integer ceiling
+divisions, so no ``Fraction`` or ``Interval`` is built per node, atom or
+row.
 
 Exact work is done only where it can change the answer.  A float screen
 with a proven error slack rejects a square whose center certainly fails
@@ -37,9 +45,8 @@ from fractions import Fraction
 
 from .classify import (angle_bounding_polygon, corner_bounding_polygon,
                        is_stable, line_region)
-from .geometry import (clip_polygon, line_segment_in_halfplanes,
-                       polygon_area2, polygon_bbox, segment_midpoint,
-                       to_homogeneous)
+from .geometry import (line_segment_in_halfplanes, polygon_area2,
+                       polygon_bbox, segment_midpoint, to_homogeneous)
 from .numeric import (MIN_PRECISION, TrigPoly, gradient_sum, pi_enclosure,
                       sum_bounds)
 from .sequences import CodeSequence, all_assignments
@@ -74,16 +81,39 @@ PRESETS = {
 
 
 class Square:
-    """Closed axis-aligned square: exact rational center and half side."""
+    """Closed axis-aligned square: center (X/W, Y/W), half side R/W, W > 0.
 
-    __slots__ = ("x", "y", "r")
+    Built from rationals, which ``x``, ``y`` and ``r`` read back; a child
+    doubles W and keeps R.  ``spread`` decides each of ``cover``'s tests on
+    a square, exactly because ``cover`` takes convex targets only.
+    """
+
+    __slots__ = ("X", "Y", "R", "W")
 
     def __init__(self, x, y, r):
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.r = Fraction(r)
-        if self.r <= 0:
+        x, y, r = Fraction(x), Fraction(y), Fraction(r)
+        if r <= 0:
             raise ValueError("half side must be positive")
+        self.W = W = math.lcm(x.denominator, y.denominator, r.denominator)
+        self.X, self.Y, self.R = (q.numerator * (W // q.denominator)
+                                  for q in (x, y, r))
+
+    @classmethod
+    def _of(cls, X, Y, R, W):
+        sq = object.__new__(cls)
+        sq.X, sq.Y, sq.R, sq.W = X, Y, R, W
+        return sq
+
+    x = property(lambda self: Fraction(self.X, self.W))
+    y = property(lambda self: Fraction(self.Y, self.W))
+    r = property(lambda self: Fraction(self.R, self.W))
+
+    def spread(self, a, b, c):
+        """Least and greatest value of a*x + b*y + c over the closed
+        square, in units of 1/W: the center value -+ (|a| + |b|) * R."""
+        v = a * self.X + b * self.Y + c * self.W
+        s = (abs(a) + abs(b)) * self.R
+        return v - s, v + s
 
     def corners(self):
         x, y, r = self.x, self.y, self.r
@@ -94,10 +124,9 @@ class Square:
         return ((1, 0, r - x), (-1, 0, x + r), (0, 1, r - y), (0, -1, y + r))
 
     def children(self):
-        h = self.r / 2
-        x, y = self.x, self.y
-        return (Square(x - h, y - h, h), Square(x + h, y - h, h),
-                Square(x - h, y + h, h), Square(x + h, y + h, h))
+        X, Y, R, W = 2 * self.X, 2 * self.Y, self.R, 2 * self.W
+        return tuple(Square._of(X + dx, Y + dy, R, W)
+                     for dy in (-R, R) for dx in (-R, R))
 
     def __eq__(self, other):
         return (isinstance(other, Square) and self.x == other.x
@@ -392,18 +421,16 @@ def certify_square(system: RegionSystem, square: Square,
     if system.empty:
         return Certificate("fail", note="empty region")
     if system.kind == "band":
-        for cx, cy in square.corners():
-            if not system.polygon.contains_point(cx, cy):
-                return Certificate("fail", note="outside the code's polygon")
-        center = (square.x, square.y)
+        if not _inside(square, system.polygon.faces):
+            return Certificate("fail", note="outside the code's polygon")
+        X, Y, W = square.X, square.Y, square.W
     else:
         if cache is not None:
             raise ValueError("a line system takes no shared kernel cache")
         chord = _chord_in_square(system, square)
         if chord is None:
             return Certificate("fail", note="line misses the square")
-        center = segment_midpoint(chord)
-    X, Y, W = to_homogeneous(center)
+        X, Y, W = to_homogeneous(segment_midpoint(chord))
     if _center_fails(system, X, Y, W, precision):
         return Certificate("fail", note=CENTER_FAILS)
     if cache is None:
@@ -592,29 +619,29 @@ class CoverResult:
         records, failures = [], []
         for ln in lines[5:-1]:
             parts = ln.split()
-            if parts[0] == "square" and len(parts) == 7:
-                x, y, r = (_rational(v, ln) for v in parts[1:4])
-                index = _integer(parts[4], ln)
-                margin = _rational(parts[5], ln)
-                if not parts[6].startswith("p"):
-                    raise ValueError(f"bad precision tag: {ln!r}")
-                tag = _integer(parts[6][1:], ln)
-                if not 0 <= index < corpus_size:
-                    raise ValueError(f"code index outside the corpus in "
-                                     f"cover line {ln!r}")
-                if margin <= 0:
-                    raise ValueError(f"nonpositive margin in cover line "
-                                     f"{ln!r}")
-                if tag < MIN_PRECISION:
-                    raise ValueError(f"precision below {MIN_PRECISION} in "
-                                     f"cover line {ln!r}")
-                records.append(
-                    CoverRecord(Square(x, y, r), index, margin, tag))
-            elif parts[0] == "failure" and len(parts) == 4:
-                failures.append(Square(*(_rational(v, ln)
-                                         for v in parts[1:4])))
-            else:
+            if (parts[0], len(parts)) not in (("square", 7), ("failure", 4)):
                 raise ValueError(f"unrecognized cover line: {ln!r}")
+            x, y, r = (_rational(v, ln) for v in parts[1:4])
+            if r <= 0:
+                raise ValueError(f"nonpositive half side in cover line "
+                                 f"{ln!r}")
+            if parts[0] == "failure":
+                failures.append(Square(x, y, r))
+                continue
+            index = _integer(parts[4], ln)
+            margin = _rational(parts[5], ln)
+            if not parts[6].startswith("p"):
+                raise ValueError(f"bad precision tag: {ln!r}")
+            tag = _integer(parts[6][1:], ln)
+            if not 0 <= index < corpus_size:
+                raise ValueError(f"code index outside the corpus in "
+                                 f"cover line {ln!r}")
+            if margin <= 0:
+                raise ValueError(f"nonpositive margin in cover line {ln!r}")
+            if tag < MIN_PRECISION:
+                raise ValueError(f"precision below {MIN_PRECISION} in "
+                                 f"cover line {ln!r}")
+            records.append(CoverRecord(Square(x, y, r), index, margin, tag))
         summary = {}
         for kv in lines[-1].split()[1:]:
             name, eq, value = kv.partition("=")
@@ -664,16 +691,50 @@ def _field(line: str, name: str) -> str:
     return line[len(name) + 1:]
 
 
-def _bbox_meets(b, square: Square) -> bool:
-    x0, y0, x1, y1 = b
-    return (square.x - square.r <= x1 and x0 <= square.x + square.r
-            and square.y - square.r <= y1 and y0 <= square.y + square.r)
+def _box(bbox):
+    """The closed box x0 <= x <= x1, y0 <= y <= y1 of rational bounds as
+    four integer halfplanes a*x + b*y + c >= 0."""
+    x0, y0, x1, y1 = bbox
+    return ((x0.denominator, 0, -x0.numerator),
+            (-x1.denominator, 0, x1.numerator),
+            (0, y0.denominator, -y0.numerator),
+            (0, -y1.denominator, y1.numerator))
+
+
+def _meets(square: Square, box) -> bool:
+    """Whether the square touches the closed ``_box``."""
+    return all(square.spread(a, b, c)[1] >= 0 for a, b, c in box)
+
+
+def _inside(square: Square, halfplanes) -> bool:
+    """Whether the closed square lies in the open halfplanes' common part."""
+    return all(square.spread(a, b, c)[0] > 0 for a, b, c in halfplanes)
+
+
+def _walls(target):
+    """Integer halfplanes of a counterclockwise target: its edge lines
+    p x q, positive inside, then its box.  A square overlaps the target in
+    positive area unless one of them separates the two (the separating
+    axis theorem), which needs the target convex with no vertex repeated
+    in a row; anything else raises ``ValueError``."""
+    vertices = [to_homogeneous(v) for v in target]
+    pairs = list(zip(vertices, vertices[1:] + vertices[:1]))
+    if any(p == q for p, q in pairs):
+        raise ValueError("target polygon repeats a vertex")
+    edges = [(p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+              p[0] * q[1] - p[1] * q[0]) for p, q in pairs]
+    if any(a * X + b * Y + c * W < 0
+           for a, b, c in edges for X, Y, W in vertices):
+        raise ValueError("target polygon is not convex")
+    return edges + list(_box(polygon_bbox(target)))
 
 
 def cover(target, corpus, *, precision: int = MIN_PRECISION,
           max_depth: int = DEFAULT_MAX_DEPTH, threads: int = 1) -> CoverResult:
     """Certify a convex rational target polygon against a corpus of codes.
 
+    The target must be convex, with no vertex repeated in a row (collinear
+    vertices are fine); any other polygon raises ``ValueError``.
     Quadtree from the target's bounding square, visited breadth first:
     nodes missing the target (or overlapping it with zero area) are
     dropped, certified nodes become records, everything else splits until
@@ -695,9 +756,10 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
         raise ValueError("target polygon is degenerate")
     if polygon_area2(target) < 0:
         target.reverse()
+    walls = _walls(target)
     x0, y0, x1, y1 = polygon_bbox(target)
     root = Square((x0 + x1) / 2, (y0 + y1) / 2, max(x1 - x0, y1 - y0) / 2)
-    # (key, polygon, bbox) per (entry index, assignment index), in corpus
+    # (key, polygon, box) per (entry index, assignment index), in corpus
     # order; a line system never certifies area on its own.  The full
     # polygon lies inside the corner polygon, so a corner box apart from
     # the root is apart from every square and the plan is never compiled
@@ -707,11 +769,11 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
             continue
         for j, asg in enumerate(all_assignments(code)):
             outer = corner_bounding_polygon(code, asg).bbox()
-            if outer is None or not _bbox_meets(outer, root):
+            if outer is None or not _meets(root, _box(outer)):
                 continue
             poly = angle_bounding_polygon(code, asg)
             if not poly.is_empty:
-                plans.append(((i, j), poly, poly.bbox()))
+                plans.append(((i, j), poly, _box(poly.bbox())))
     systems = {}  # built lazily, shared across the tree
 
     def system(key):
@@ -722,40 +784,26 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
                 codes[i], all_assignments(codes[i])[j])
         return got
 
-    def overlaps(square):
-        piece = target
-        for hp in square.halfplanes():
-            piece = clip_polygon(piece, hp)
-            if len(piece) < 3:
-                return False
-        return polygon_area2(piece) != 0
-
     records, failures = [], []
     max_depth_used = 0
     queue = deque([(root, 0, plans, None)])
     while queue:
         square, depth, allowed, hint = queue.popleft()
-        if not overlaps(square):
+        if not all(square.spread(a, b, c)[1] > 0 for a, b, c in walls):
             continue
-        sx0, sx1 = square.x - square.r, square.x + square.r
-        sy0, sy1 = square.y - square.r, square.y + square.r
-        cands = [plan for plan in allowed if _bbox_meets(plan[2], square)]
+        cands = [plan for plan in allowed if _meets(square, plan[2])]
         if hint in cands:
             cands.remove(hint)
             cands.insert(0, hint)
-        corners = square.corners()
         p, cert, pending, retry = precision, None, [], []
         # every plan is a band system evaluated at the square's center, so
         # one kernel cache serves them all at one precision
         cache: dict = {}
         for plan in cands:
-            key, poly, (bx0, by0, bx1, by1) = plan
-            # cheap gates first: a square poking out of the outer bounding
-            # box, then out of the polygon, cannot be certified, and the
-            # exact corner test is what makes systems worth building
-            if not (bx0 <= sx0 and sx1 <= bx1 and by0 <= sy0 and sy1 <= by1):
-                continue
-            if not all(poly.contains_point(cx, cy) for cx, cy in corners):
+            key, poly, _ = plan
+            # a square poking out of the polygon cannot be certified, and
+            # this exact test is what makes systems worth building
+            if not _inside(square, poly.faces):
                 continue
             cert = certify_square(system(key), square, p, cache)
             if cert.passed:

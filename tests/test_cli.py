@@ -193,6 +193,15 @@ class TestCover:
         assert code == 3
         assert "expected x,y pairs" in err
 
+    def test_nonconvex_region_file(self, capsys, tiny_corpus, tmp_path):
+        dart = tmp_path / "dart.txt"
+        dart.write_text("50,50 70,50 60,55 70,70 50,70\n")
+        code, out, err = run(capsys, "cover", "--region", str(dart),
+                             "--corpus", tiny_corpus)
+        assert code == 3
+        assert out == ""
+        assert "error: target polygon is not convex" in err
+
     def test_svg_map(self, capsys, tiny_corpus, square_region, tmp_path):
         svg = tmp_path / "map.svg"
         code, out, _ = run(capsys, "cover", "--region", square_region,

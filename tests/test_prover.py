@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from billiardpath import prover
+from billiardpath import classify, geometry, prover
 from billiardpath.classify import (angle_bounding_polygon, classify_code,
                                    corner_bounding_polygon)
 from billiardpath.corpus import load_default_corpus
-from billiardpath.geometry import (clip_polygon, polygon_bbox,
+from billiardpath.geometry import (clip_polygon, polygon_area2, polygon_bbox,
                                    segment_midpoint, to_homogeneous)
 from billiardpath.numeric import pi_enclosure, sin_scaled, sum_bounds
 from billiardpath.prover import (
@@ -29,8 +29,11 @@ from billiardpath.prover import (
     PRESETS,
     RegionSystem,
     Square,
-    _bbox_meets,
+    _box,
     _chord_in_square,
+    _inside,
+    _meets,
+    _walls,
     certify_square,
     cover,
     infinite_pattern,
@@ -240,6 +243,109 @@ class TestSquare:
         with pytest.raises(ValueError):
             Square(1, 1, 0)
 
+    def test_children_keep_integers_and_equal_built_squares(self):
+        parent = Square(F(3, 4), F(5, 4), F(1, 2))
+        kid = parent.children()[2]
+        # W doubles and R stays: (4, 12, 2, 8) is not in lowest terms
+        assert (kid.X, kid.Y, kid.R, kid.W) == (4, 12, 2, 8)
+        built = Square(F(1, 2), F(3, 2), F(1, 4))
+        assert (built.X, built.Y, built.R, built.W) == (2, 6, 1, 4)
+        assert kid == built and hash(kid) == hash(built)
+        assert {kid: 1}[built] == 1
+        assert (kid.x, kid.y, kid.r) == (F(1, 2), F(3, 2), F(1, 4))
+        assert repr(kid) == repr(built) == "Square(1/2, 3/2, r=1/4)"
+
+
+def spread_squares(seed, count=300):
+    """Seeded squares reached through ``children`` under the root that
+    ``cover`` builds over each preset, so W is never reduced, and squares
+    with a corner on each preset vertex and edge midpoint, which touch its
+    edges exactly."""
+    rng = random.Random(seed)
+    out = []
+    for target in PRESETS.values():
+        x0, y0, x1, y1 = polygon_bbox(target)
+        root = Square((x0 + x1) / 2, (y0 + y1) / 2,
+                      max(x1 - x0, y1 - y0) / 2)
+        for _ in range(count):
+            sq = root
+            for _ in range(rng.randrange(12)):
+                sq = rng.choice(sq.children())
+            out.append(sq)
+        ring = list(target)
+        points = ring + [((px + qx) / 2, (py + qy) / 2) for (px, py), (qx, qy)
+                         in zip(ring, ring[1:] + ring[:1])]
+        for px, py in points:
+            for r in (F(1, 4), F(3)):
+                out += [Square(px + sx * r, py + sy * r, r)
+                        for sx in (-1, 1) for sy in (-1, 1)]
+    return out
+
+
+class TestSpreadRule:
+    """``Square.spread`` against Fraction references on the corners."""
+
+    def test_spread_is_the_range_over_the_corners(self):
+        rng = random.Random(3)
+        for sq in spread_squares(3, 40):
+            a, b = rng.randrange(-9, 10), rng.randrange(-9, 10)
+            c = rng.randrange(-2000, 2000)
+            lo, hi = sq.spread(a, b, c)
+            vals = [a * x + b * y + c for x, y in sq.corners()]
+            assert (F(lo, sq.W), F(hi, sq.W)) == (min(vals), max(vals))
+
+    def test_containment_matches_the_corner_reference(self):
+        corpus = load_default_corpus()
+        polys = [angle_bounding_polygon(corpus[i].code, asg)
+                 for i in DEEP_CODES + (2, 40, 100)
+                 for asg in all_assignments(corpus[i].code)]
+        polys = [poly for poly in polys if not poly.is_empty]
+        squares = spread_squares(5, 200)
+        # and squares with a corner on a polygon vertex, inside or out
+        for poly in polys:
+            for px, py in poly.vertices:
+                squares += [Square(px + sx * F(1, 8), py + sy * F(1, 8),
+                                   F(1, 8)) for sx in (-1, 1)
+                            for sy in (-1, 1)]
+        seen = collections.Counter()
+        for poly in polys:
+            for sq in squares:
+                want = all(poly.contains_point(x, y) for x, y in sq.corners())
+                assert _inside(sq, poly.faces) == want, (poly, sq)
+                seen[want] += 1
+        assert seen[True] > 50 and seen[False] > 1000, seen
+
+    def test_box_rule_matches_the_corner_reference(self):
+        corpus = load_default_corpus()
+        boxes = [angle_bounding_polygon(corpus[i].code, asg).bbox()
+                 for i in DEEP_CODES
+                 for asg in all_assignments(corpus[i].code)]
+        boxes = [b for b in boxes if b is not None]
+        boxes += [polygon_bbox(target) for target in PRESETS.values()]
+        seen = collections.Counter()
+        for x0, y0, x1, y1 in boxes:
+            for sq in spread_squares(9, 60):
+                want = (sq.x - sq.r <= x1 and x0 <= sq.x + sq.r
+                        and sq.y - sq.r <= y1 and y0 <= sq.y + sq.r)
+                assert _meets(sq, _box((x0, y0, x1, y1))) == want
+                seen[want] += 1
+        assert seen[True] > 100 and seen[False] > 100, seen
+
+    def test_overlap_matches_the_clip_reference(self):
+        seen = collections.Counter()
+        for target in list(PRESETS.values()) + [thin_target()]:
+            walls = _walls(target)
+            for sq in spread_squares(11):
+                piece = list(target)
+                for hp in sq.halfplanes():
+                    piece = clip_polygon(piece, hp)
+                want = len(piece) >= 3 and polygon_area2(piece) != 0
+                got = all(sq.spread(a, b, c)[1] > 0 for a, b, c in walls)
+                assert got == want, (target, sq)
+                seen["touch" if piece and not want else want] += 1
+        assert seen[True] > 200 and seen[False] > 200, seen
+        assert seen["touch"] > 20, seen
+
 
 class TestRegionSystem:
     def test_orthic_compiles_to_band(self, orthic):
@@ -404,6 +510,86 @@ class TestCover:
         with pytest.raises(ValueError):
             cover([(0, 0), (1, 1), (2, 2)], [ORTHIC])
 
+    @pytest.mark.parametrize("target, message", [
+        # a dart: the vertex 60,55 is reflex
+        ([(50, 50), (70, 50), (60, 55), (70, 70), (50, 70)], "not convex"),
+        # a pentagram: every turn is a left turn, yet the edges cross
+        ([(60, 50), (66, 68), (50, 57), (70, 57), (54, 68)], "not convex"),
+        ([(50, 50), (70, 50), (70, 50), (70, 70), (50, 70)], "repeats"),
+        ([(50, 50), (70, 50), (70, 70), (50, 70), (50, 50)], "repeats"),
+    ])
+    def test_nonconvex_target_rejected(self, target, message):
+        with pytest.raises(ValueError, match=message):
+            cover(target, [ORTHIC])
+        with pytest.raises(ValueError, match=message):
+            cover(target[::-1], [ORTHIC])
+
+    def test_collinear_vertex_accepted(self):
+        square = [(50, 50), (70, 50), (70, 70), (50, 70)]
+        res = cover(square[:1] + [(60, 50)] + square[1:], [ORTHIC])
+        assert res.complete
+        assert res.records == cover(square, [ORTHIC]).records
+
+    def test_frozen_incomplete_cover_digest(self):
+        # the whole strip-75-80 preset against the five codes of the deep
+        # box, cut at depth 6: many failures along slanted target edges,
+        # frozen as a sha256 while every node was still clipped in Fractions
+        corpus = load_default_corpus()
+        res = cover(PRESETS["strip-75-80"], [corpus[i] for i in DEEP_CODES],
+                    max_depth=6)
+        assert not res.complete
+        assert (res.square_count, len(res.failures), res.max_depth_used) == \
+            (2, 140, 6)
+        assert hashlib.sha256(res.to_text().encode()).hexdigest() == \
+            "ae6ffe9fc408d58f16dd428eee38ac6eaa5f6ecac3c28f6c2cf41e9f21d541ea"
+
+    def test_quadtree_runs_on_integers(self, monkeypatch):
+        # after setup, no node is clipped, tested corner by corner or
+        # converted to a homogeneous triple: the prover's own calls of
+        # to_homogeneous and polygon_area2 all take the target, and all
+        # come before the first certification
+        corpus = load_default_corpus()
+        calls = collections.defaultdict(list)
+        phase = ["setup"]
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name].append((phase[0], args))
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (geometry, classify, prover):
+            if hasattr(module, "clip_polygon"):
+                monkeypatch.setattr(module, "clip_polygon", counting(
+                    "clip_polygon", module.clip_polygon))
+        for name in ("to_homogeneous", "polygon_area2"):
+            monkeypatch.setattr(prover, name,
+                                counting(name, getattr(prover, name)))
+        monkeypatch.setattr(classify.BoundingPolygon, "contains_point",
+                            counting("contains_point",
+                                     classify.BoundingPolygon.contains_point))
+        monkeypatch.setattr(Square, "corners",
+                            counting("corners", Square.corners))
+        real_certify = prover.certify_square
+
+        def certify(*args):
+            phase[0] = "tree"
+            return real_certify(*args)
+
+        monkeypatch.setattr(prover, "certify_square", certify)
+        res = cover(DEEP_BOX, [corpus[i] for i in DEEP_CODES])
+        assert res.square_count == 141
+        assert phase == ["tree"]
+        for name in ("clip_polygon", "contains_point", "corners"):
+            assert not calls[name], name
+        assert [args for _, args in calls["to_homogeneous"]] == \
+            [(v,) for v in DEEP_BOX]
+        assert calls["polygon_area2"]
+        for when, args in calls["to_homogeneous"] + calls["polygon_area2"]:
+            assert when == "setup"
+        for _, (vertices,) in calls["polygon_area2"]:
+            assert vertices == DEEP_BOX
+
     def test_deterministic_across_runs(self):
         one = cover(PRESETS["acute-demo"], [ORTHIC])
         two = cover(PRESETS["acute-demo"], [ORTHIC])
@@ -495,12 +681,17 @@ class TestCover:
         for entry in load_default_corpus():
             for asg in all_assignments(entry.code):
                 outer = corner_bounding_polygon(entry.code, asg).bbox()
-                if outer is not None and _bbox_meets(outer, root):
+                if outer is not None and _meets(root, _box(outer)):
                     continue
                 skipped += 1
                 poly = angle_bounding_polygon(entry.code, asg)
-                assert poly.is_empty or \
-                    not _bbox_meets(poly.bbox(), root), (entry.code, asg)
+                if poly.is_empty:
+                    continue
+                # the polygon's box misses the root, compared in Fractions
+                bx0, by0, bx1, by1 = poly.bbox()
+                assert (bx1 < root.x - root.r or root.x + root.r < bx0
+                        or by1 < root.y - root.r or root.y + root.r < by0), \
+                    (entry.code, asg)
         assert skipped > 0
 
     def test_unstable_codes_build_no_polygon(self, monkeypatch):
@@ -573,6 +764,28 @@ class TestCover:
         for bad in ("precision 3", "precision seven"):
             with pytest.raises(ValueError, match="cover line"):
                 CoverResult.parse(text.replace("precision 7", bad))
+
+    def test_parse_names_the_line_of_a_nonpositive_half_side(self):
+        text = cover(PRESETS["acute-demo"], [ORTHIC]).to_text()
+        square = [ln for ln in text.splitlines()
+                  if ln.startswith("square ")][0]
+        _, x, y, r, index, margin, tag = square.split()
+        bad = f"square {x} {y} 0 {index} {margin} {tag}"
+        with pytest.raises(ValueError,
+                           match=f"nonpositive half side in cover line "
+                                 f"'{bad}'"):
+            CoverResult.parse(text.replace(square, bad))
+
+    def test_parse_names_the_failure_line_of_a_nonpositive_half_side(self):
+        res = cover([(50, 50), (70, 50), (70, 70), (50, 70)], [ORTHIC],
+                    max_depth=0)
+        text = res.to_text()
+        assert "failure 60 60 10\n" in text
+        with pytest.raises(ValueError,
+                           match="nonpositive half side in cover line "
+                                 "'failure 60 60 -2'"):
+            CoverResult.parse(text.replace("failure 60 60 10",
+                                           "failure 60 60 -2"))
 
 
 class TestFilters:
