@@ -2,13 +2,13 @@
 
 Subcommands classify code sequences, verify corpus files, certify single
 squares, run quadtree covers over angle-plane regions (optionally drawing
-an SVG map), unfold towers at concrete triangles, and search for closed
-paths with the floating-point oracle.
+an SVG map), unfold towers at concrete triangles, and find closed paths
+with the floating-point oracle.
 
-Every subcommand is deterministic for fixed flags; ``--seed`` only
-reorders the oracle's candidate search.  Exit status: 0 on success and
-complete covers, 2 when a requested cover or certificate does not close,
-3 for input errors.
+Every subcommand is deterministic for fixed flags; ``--seed`` only picks
+where inside a periodic band the oracle's checked start lies.  Exit
+status: 0 on success and complete covers, 2 when a requested cover or
+certificate does not close, 3 for input errors.
 """
 
 from __future__ import annotations
@@ -604,11 +604,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("orbit",
-                       help="search for a closed path numerically")
+                       help="find a closed path numerically")
     p.add_argument("code", nargs="+")
     p.add_argument("--at", type=_point, required=True, metavar="X,Y")
     p.add_argument("--seed", type=int, default=0,
-                   help="shuffles the candidate start offsets only")
+                   help="picks where inside the band the start lies")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("trace",

@@ -1,7 +1,7 @@
 """Floating-point billiard simulator used as ground truth in tests.
 
 Everything here runs in plain doubles and proves nothing: it bounces rays,
-composes mirror images, and hunts for closed paths by search.  The
+unfolds mirror images, and computes where a closed path must run.  The
 interval-certified modules never import it; the relationship only runs the
 other way, with test suites holding the two against each other.
 """
@@ -161,7 +161,7 @@ def unfold_by_reflection(tri: Triangle, labels) -> list:
 
 
 class OrbitResult:
-    """A closed path found by search."""
+    """A closed path found by the oracle."""
 
     __slots__ = ("start", "theta", "residual", "start_pair")
 
@@ -198,30 +198,20 @@ def assignment_start(code: CodeSequence, asg):
     raise ValueError(f"no start pair realizes {want} for {code}")
 
 
-def _compose_mirrors(tri: Triangle, labels):
-    """Isometry mapping the base copy onto the copy past the last label,
-    as (2x2 rows, offset)."""
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    vx, vy = 0.0, 0.0
-    cur = tri.vertices()
-    for label in labels:
-        ia, ib = _SIDE_CORNERS[label]
-        a, b = cur[ia], cur[ib]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        ee = ex * ex + ey * ey
-        c2 = (ex * ex - ey * ey) / ee
-        s2 = 2 * ex * ey / ee
-        # reflection across the line through a along (ex, ey)
-        r00, r01, r10, r11 = c2, s2, s2, -c2
-        wx = a[0] - r00 * a[0] - r01 * a[1]
-        wy = a[1] - r10 * a[0] - r11 * a[1]
-        m00, m01, m10, m11, vx, vy = (
-            r00 * m00 + r01 * m10, r00 * m01 + r01 * m11,
-            r10 * m00 + r11 * m10, r10 * m01 + r11 * m11,
-            r00 * vx + r01 * vy + wx, r10 * vx + r11 * vy + wy)
-        cur = tuple(p if k in (ia, ib) else _reflect_across(p, a, b)
-                    for k, p in enumerate(cur))
-    return (m00, m01, m10, m11), (vx, vy)
+def _isometry(copies):
+    """The map taking the first copy onto the last, as (2x2 rows, offset):
+    the affine map sending each corner of one to the same corner of the
+    other."""
+    (p0, p1, p2), (q0, q1, q2) = copies[0], copies[-1]
+    ax, ay = p1[0] - p0[0], p1[1] - p0[1]
+    bx, by = p2[0] - p0[0], p2[1] - p0[1]
+    cx, cy = q1[0] - q0[0], q1[1] - q0[1]
+    dx, dy = q2[0] - q0[0], q2[1] - q0[1]
+    det = ax * by - ay * bx
+    m00, m01 = (cx * by - dx * ay) / det, (dx * ax - cx * bx) / det
+    m10, m11 = (cy * by - dy * ay) / det, (dy * ax - cy * bx) / det
+    return (m00, m01, m10, m11), (q0[0] - m00 * p0[0] - m01 * p0[1],
+                                  q0[1] - m10 * p0[0] - m11 * p0[1])
 
 
 def _validate(tri, labels, start_pair, t, angle):
@@ -263,15 +253,16 @@ def _theta_from(tri, start_pair, angle):
 
 def find_orbit(tri: Triangle, code: CodeSequence, seed: int = 0,
                starts=None):
-    """Search for a closed path with the code's bounce pattern.
+    """Find a closed path with the code's bounce pattern.
 
-    Tries each labeling's mirror composition: a translation opens a whole
-    band of parallel candidates, a glide reflection pins the path to its
-    axis.  Every candidate is then re-traced bounce by bounce, and only a
-    trace that returns to its start state within the closure tolerance
-    counts.  The start-point grid densifies stepwise while nothing
-    validates, so thin bands that slip between coarse probes are still
-    found.  Returns None when no labeling closes.
+    Unfolds each labeling once and reads the isometry from the first
+    mirror copy to the last.  A translation opens a band: the straight
+    lines along it that cross every mirror of the unfolded corridor, an
+    interval of offsets across the direction; ``seed`` picks the checked
+    start inside the middle half of that interval.  A glide reflection
+    pins the path to its axis.  Each candidate is then re-traced bounce by
+    bounce, and only a trace that returns to its start state within the
+    closure tolerance counts.  Returns None when no labeling closes.
     """
     if starts is None:
         starts = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1))
@@ -284,22 +275,28 @@ def find_orbit(tri: Triangle, code: CodeSequence, seed: int = 0,
         except ValueError:
             continue
         labels = target[1:] + (target[0],)
-        (m00, m01, m10, m11), (vx, vy) = _compose_mirrors(tri, labels)
+        copies = unfold_by_reflection(tri, labels)
+        (m00, m01, m10, m11), (vx, vy) = _isometry(copies)
         best = None
         if period % 2 == 0:
             if max(abs(m00 - 1), abs(m01), abs(m10), abs(m11 - 1)) > 1e-9:
                 continue  # band does not close for this labeling
-            angle = math.degrees(math.atan2(vy, vx))
-            for density in (24, 96, 384, 1536):
-                grid = [(i + 0.5) / density for i in range(density)]
-                rng.shuffle(grid)
-                for t in grid:
-                    got = _validate(tri, labels, pair, t, angle)
-                    if got is not None and (best is None
-                                            or got.residual < best.residual):
-                        best = got
-                if best is not None:
-                    break
+            length = math.hypot(vx, vy)
+            if length < close:
+                continue
+            nx, ny = -vy / length, vx / length
+            # offsets across the direction of the lines that cross the
+            # start side (from t = 0 to 1) and then every mirror
+            ends = [tuple(nx * copy[k][0] + ny * copy[k][1]
+                          for k in _SIDE_CORNERS[label])
+                    for copy, label in zip(copies, (pair[0],) + labels)]
+            lo, hi = max(map(min, ends)), min(map(max, ends))
+            if not lo < hi:
+                continue
+            offset = lo + (0.25 + 0.5 * rng.random()) * (hi - lo)
+            a, b = ends[0]
+            best = _validate(tri, labels, pair, (offset - a) / (b - a),
+                             math.degrees(math.atan2(vy, vx)))
         else:
             # orientation reverses: the path must ride the glide axis
             ax, ay = math.cos(0.5 * math.atan2(m10, m00)), \

@@ -610,9 +610,11 @@ class CoverResult:
             raise ValueError(f"precision below {MIN_PRECISION} in cover line "
                              f"{lines[1]!r}")
         max_depth = _integer(_field(lines[2], "max-depth"), lines[2])
-        target = tuple(
-            tuple(_rational(v, lines[3]) for v in pair.split(","))
-            for pair in _field(lines[3], "target").split())
+        target = tuple(_vertex(item, lines[3])
+                       for item in _field(lines[3], "target").split())
+        if len(target) < 3:
+            raise ValueError(f"target with fewer than 3 vertices in cover "
+                             f"line {lines[3]!r}")
         corpus_size = _integer(_field(lines[4], "corpus-size"), lines[4])
         if not lines[-1].startswith("summary "):
             raise ValueError("missing summary line")
@@ -674,6 +676,15 @@ def _rational(text: str, line: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a rational number {text!r} in cover line "
                          f"{line!r}") from None
+
+
+def _vertex(item: str, line: str) -> tuple:
+    """One ``x,y`` vertex of a target line; a bad one names its line."""
+    parts = item.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"vertex {item!r} is not x,y in cover line "
+                         f"{line!r}")
+    return tuple(_rational(v, line) for v in parts)
 
 
 def _integer(text: str, line: str) -> int:

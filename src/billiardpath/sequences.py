@@ -410,19 +410,19 @@ def _reduces(word: str) -> bool:
 # --- angle assignment -------------------------------------------------
 
 def assign_angles(code: CodeSequence, first: str = "X",
-                  second: str = "Y", check: bool = True) -> AngleAssignment:
+                  second: str = "Y") -> AngleAssignment:
     """Attach an angle symbol to every code position.
 
     The first two positions get ``first`` and ``second``; after that an even
     code number repeats the symbol two back, an odd one forces the third
     symbol.  The same rule must hold across the seam or the code is
-    rejected; ``check=False`` skips that for open chains.
+    rejected.
     """
     if first == second or {first, second} - set(_SYMBOLS):
         raise ValueError(f"need two distinct symbols, got {first} {second}")
     k = len(code)
     c = code.codes
-    if k == 1 and check:
+    if k == 1:
         raise ValueError(f"not a legal code sequence {code}: single run")
     a = [None] * k
     a[0] = first
@@ -431,13 +431,12 @@ def assign_angles(code: CodeSequence, first: str = "X",
     for i in range(k - 2):
         # next symbol is driven by the parity of the middle code number
         a[i + 2] = a[i] if c[i + 1] % 2 == 0 else third_symbol(a[i], a[i + 1])
-    if check:
-        for i in (k - 2, k - 1):
-            expect = a[i] if c[(i + 1) % k] % 2 == 0 else \
-                third_symbol(a[i], a[(i + 1) % k])
-            if expect != a[(i + 2) % k]:
-                raise ValueError(
-                    f"not a legal code sequence {code}: seam symbol mismatch")
+    for i in (k - 2, k - 1):
+        expect = a[i] if c[(i + 1) % k] % 2 == 0 else \
+            third_symbol(a[i], a[(i + 1) % k])
+        if expect != a[(i + 2) % k]:
+            raise ValueError(
+                f"not a legal code sequence {code}: seam symbol mismatch")
     top = {i + 1: a[i] for i in range(0, k, 2)}
     bottom = {i + 1: a[i] for i in range(1, k, 2)}
     return AngleAssignment(top, bottom, k)

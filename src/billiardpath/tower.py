@@ -116,25 +116,14 @@ class SymbolicTower:
     cached per (code numbers, seed letters).
     """
 
-    def __init__(self, code: CodeSequence, asg: AngleAssignment = None, *,
-                 letters=None, before: str = None):
-        self.raw = letters is not None
-        self.original_code = code
-        if self.raw:
-            self.theta = None
-            self.pivots = []
-            self._letters = list(letters)
-            self._before = before
-        else:
-            self.theta = solve_theta(code, asg)
-            if len(code.codes) % 2:
-                # odd codes traverse the path twice to close the picture
-                code = CodeSequence(code.codes * 2)
-                asg = assign_angles(code, asg.symbol(1), asg.symbol(2))
-            self.pivots = palindromic_pivots(code)
-            n = len(code.codes)
-            self._letters = [asg.symbol(i) for i in range(1, n + 1)]
-            self._before = None
+    def __init__(self, code: CodeSequence, asg: AngleAssignment):
+        self.theta = solve_theta(code, asg)
+        if len(code.codes) % 2:
+            # odd codes traverse the path twice to close the picture
+            code = CodeSequence(code.codes * 2)
+            asg = assign_angles(code, asg.symbol(1), asg.symbol(2))
+        self.pivots = palindromic_pivots(code)
+        self._letters = [asg.symbol(i) for i in range(1, len(code.codes) + 1)]
         self.code = code
         self.asg = asg
         self._scores: dict = {}
@@ -144,18 +133,8 @@ class SymbolicTower:
         self._shoot()
 
     def _letter(self, i: int) -> str:
-        """U_i for i in 0..n+1; raw chains extend by the parity rule."""
-        n = len(self._letters)
-        if not self.raw:
-            return self._letters[(i - 1) % n]
-        if i == 0:
-            return self._before
-        if i <= n:
-            return self._letters[i - 1]
-        prev2 = self._letter(n - 1)
-        if self.code.codes[n - 1] % 2 == 0:
-            return prev2
-        return third_symbol(prev2, self._letters[n - 1])
+        """U_i for i in 0..n+1, read cyclically."""
+        return self._letters[(i - 1) % len(self._letters)]
 
     # -- construction --------------------------------------------------
 

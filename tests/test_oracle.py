@@ -13,6 +13,7 @@ from billiardpath.sequences import (CodeSequence, all_assignments,
                                     assign_angles, code_to_side)
 from billiardpath.tower import Triangle, symbolic_tower, unfold
 from billiardpath.tower import test_I as band_test
+from billiardpath.tower import test_II as pruned_band_test
 
 
 def theta_value(form, x, y):
@@ -175,3 +176,18 @@ class TestBandAgreement:
             assert (got is not None) == verdict.passed
             checked += 1
         assert checked >= 3
+
+    # passing bands about 1.0e-4, 3.0e-4 and 2.2e-5 of a side wide: too
+    # thin for any fixed start grid of a few thousand points to hit
+    @pytest.mark.parametrize("index,x,y", [
+        (56, Fraction(1305467, 12852), Fraction(34963, 612)),
+        (42, Fraction(202815, 1969), Fraction(128745, 1969)),
+        (112, Fraction(16249218, 155701), Fraction(9868974, 155701)),
+    ])
+    def test_narrow_band_is_found(self, index, x, y):
+        code = load_default_corpus()[index].code
+        asg = all_assignments(code)[0]
+        assert pruned_band_test(unfold(code, asg, x, y, precision=7)).passed
+        got = find_orbit(Triangle(x, y), code,
+                         starts=[assignment_start(code, asg)])
+        assert got is not None and got.residual < 1e-9

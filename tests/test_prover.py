@@ -735,7 +735,12 @@ class TestCover:
         lines = text.splitlines()
         assert lines[3].startswith("target ")
         assert lines[5].startswith("square ")
+        # so are a target no cover writes, with fewer than 3 vertices, and
+        # a vertex that is not x,y
         for i, bad in ((3, "target 0/0,0 1,0 0,1"),
+                       (3, "target 58,58 62,58"),
+                       (3, "target 58,58 62,58,1 62,62"),
+                       (3, "target 58 62,58 62,62"),
                        (5, "square 1/4 1/0 1/8 0 1 p7")):
             corrupt = "\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n"
             with pytest.raises(ValueError, match="cover line"):

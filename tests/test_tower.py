@@ -345,15 +345,6 @@ class TestHullSeparation:
         tower = build_tower([1, 1, 1], "X", "Y", 20, 30)
         assert convex_hull_separation(tower).status == "fail"
 
-    def test_open_chain_pair_of_triangles(self):
-        tower = SymbolicTower(CodeSequence((1, 1)), letters=["X", "Y"],
-                              before="Z").at(40, 75)
-        colors = [p.color for p in tower.sym.points]
-        assert colors.count("blue") == 2
-        assert colors.count("black") == 2
-        assert len(list(tower.sym.triangles())) == 2
-        assert convex_hull_separation(tower).passed
-
 
 # --- linear-time build ------------------------------------------------
 
@@ -434,9 +425,6 @@ class TestLinearBuild:
                 for code, first, second in cases]
         syms.append(SymbolicTower(longest.code,
                                   all_assignments(longest.code)[0]))
-        syms.append(SymbolicTower(CodeSequence((1, 2, 3)),
-                                  letters=["X", "Y", "Z"],
-                                  before="Y").at(40, 75).sym)
         for sym in syms:
             ref = reference_centers(sym)
             assert len(ref) == len(sym.centers)
