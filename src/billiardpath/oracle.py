@@ -17,6 +17,9 @@ from .tower import Triangle
 # both scale with the triangle diameter
 VERTEX_TOLERANCE = 1e-12
 CLOSURE_TOLERANCE = 1e-9
+# least sine of the angle between a starting ray and its side: a ray along
+# the side has a rounding-sized normal part (sin 180 degrees is 1.2e-16)
+ENTRY_TOLERANCE = 1e-12
 
 _SIDE_CORNERS = {1: (0, 1), 2: (1, 2), 3: (0, 2)}
 
@@ -59,7 +62,7 @@ class RayState:
         s = (nx * ex + ny * ey) / ee
         nx, ny = nx - s * ex, ny - s * ey
         dx, dy = self.direction()
-        return dx * nx + dy * ny > 0
+        return dx * nx + dy * ny > ENTRY_TOLERANCE * math.hypot(nx, ny)
 
     def __repr__(self):
         return f"RayState(side={self.side}, t={self.t:.6f}, angle={self.angle:.6f})"

@@ -30,11 +30,13 @@ row.
 
 Exact work is done only where it can change the answer.  A float screen
 with a proven error slack rejects a square whose center certainly fails
-before any exact sum; a gate on the integers marks an indeterminate
-square that no precision could pass, and ``cover`` does not retry it;
-and ``cover`` shares one kernel cache among the candidates of a square.
-Floats only ever skip work whose exact verdict is a known "fail", so
-every record is what the exact path alone would write.
+before any exact sum.  A retry gate marks an indeterminate square that no
+precision could pass, and ``cover`` does not retry it: its float form,
+with the same slack, marks most such squares before any exact sum, and
+its integer form, after the exact sums, the rest.  ``cover`` shares one
+kernel cache among the candidates of a square.  Floats only ever skip
+work whose exact verdict is known ("fail", or "no precision can pass"),
+so every verdict and record is what the exact path alone would give.
 """
 
 from __future__ import annotations
@@ -167,9 +169,12 @@ class RegionSystem:
     are ((kind, m, n), c) pairs with integer ``c`` for ``numeric.sum_bounds``
     and ``g`` is their gradient sum.  Every row shares one positive
     denominator ``den`` so sign comparisons need no further scaling.
-    ``screen`` holds the same rows for the float screen of
+    ``screen`` holds the same rows for the float filters of
     ``certify_square``: the distinct atoms, then per row (is_black, atom
-    indices, float coefficients c/den, sum |c|/den, float-error slack).
+    indices, float coefficients c/den, weight sum |c|/den, float-error
+    slack, g, parts), the two parts being the weight sum |c*m|/den (|c*n|
+    /den), float-error slack and gradient sum g2 of the d/dx (d/dy) rows
+    of ``deriv_rows``.
     """
 
     __slots__ = ("code", "asg", "kind", "polygon", "line", "sym", "keys",
@@ -278,11 +283,17 @@ def _screen_rows(rows, den):
     atoms = sorted({key for _, terms, _ in rows for key, _ in terms})
     index = {key: i for i, key in enumerate(atoms)}
     out = []
-    for is_black, terms, _ in rows:
-        weight = sum(abs(c) for _, c in terms) / den
+    for is_black, terms, g in rows:
+        k = len(terms) + 64
+        parts = []
+        for sel in (1, 2):  # m for d/dx, n for d/dy
+            dterms = [(key, c * key[sel]) for key, c in terms]
+            w = sum(abs(c) for _, c in dterms) / den
+            parts.append((w, w * k * _FLOAT_ERR, gradient_sum(dterms)))
+        w = sum(abs(c) for _, c in terms) / den
         out.append((is_black, tuple(index[key] for key, _ in terms),
-                    tuple(c / den for _, c in terms), weight,
-                    weight * (len(terms) + 64) * _FLOAT_ERR))
+                    tuple(c / den for _, c in terms), w, w * k * _FLOAT_ERR,
+                    g, tuple(parts)))
     return tuple(atoms), tuple(out)
 
 
@@ -308,29 +319,42 @@ def _floor_times(q: Fraction, k: int) -> int:
     return k * q.numerator // q.denominator
 
 
-def _center_fails(system: RegionSystem, X: int, Y: int, W: int,
-                  precision: int) -> bool:
-    """Float screen: True only where the exact center test fails too.
+def _center_floats(system: RegionSystem, X: int, Y: int, W: int):
+    """Each atom's angle in radians and each row's value, in doubles.
 
-    Each atom's angle is reduced modulo 360 degrees on integers and taken
-    to a double by one rounded division, so no float error grows with the
-    angle.  A row is then known to within its slack (see
-    ``certify_square``) of what its exact bounds enclose.
+    The angle is reduced modulo 360 degrees on integers and taken to a
+    double by one rounded division, so no float error grows with it; a
+    cosine atom carries its 90 degrees in the angle, so the sine of every
+    angle is the atom and its cosine the atom's derivative factor.
     """
     atoms, rows = system.screen
     period = 360 * W
-    vals = []
+    angles = []
     for kind, m, n in atoms:
         num = m * X + n * Y
         if kind == "cos":
             num += 90 * W
-        vals.append(math.sin(num % period / W * _RAD))
+        angles.append(num % period / W * _RAD)
+    sines = [math.sin(a) for a in angles]
+    values = []
+    for row in rows:
+        f = 0.0
+        for i, c in zip(row[1], row[2]):
+            f += c * sines[i]
+        values.append(f)
+    return angles, values
+
+
+def _center_fails(system: RegionSystem, values, precision: int) -> bool:
+    """Float screen: True only where the exact center test fails too.
+
+    ``values`` are ``_center_floats``' rows; each is known to within its
+    slack (see ``certify_square``) of what its exact bounds enclose.
+    """
     grid = 2 / 10 ** precision
     black_hi = blue_lo = None
-    for is_black, idx, coef, weight, err in rows:
-        f = 0.0
-        for i, c in zip(idx, coef):
-            f += c * vals[i]
+    for (is_black, _, _, weight, err, _, _), f in zip(system.screen[1],
+                                                      values):
         slack = weight * grid + err
         if is_black:
             if black_hi is None or f + slack < black_hi:
@@ -338,6 +362,67 @@ def _center_fails(system: RegionSystem, X: int, Y: int, W: int,
         elif blue_lo is None or f - slack > blue_lo:
             blue_lo = f - slack
     return black_hi is not None and blue_lo is not None and black_hi < blue_lo
+
+
+def _floor_float(v: float, k: int) -> int:
+    """floor(v * k) for a double v and an integer k, exactly."""
+    num, den = v.as_integer_ratio()
+    return k * num // den
+
+
+def _hopeless(system: RegionSystem, angles, values, precision: int,
+              rad_lo: Fraction) -> bool:
+    """Float retry gate: True only where the exact path returns
+    "indeterminate" with note ``NO_PRECISION_PASSES``; conditions (a) to
+    (c) of ``certify_square``.  ``rad_lo`` is r * pi_lo/180."""
+    atoms, rows = system.screen
+    scale = 10 ** precision
+    unit = system.den * scale  # the exact bounds count in 1/unit
+    base_lo = rad_lo * scale
+    grid = 2 / scale
+    # (b): the exact center test does not fail
+    black = [f - row[4] for row, f in zip(rows, values) if row[0]]
+    blue = [f + row[4] for row, f in zip(rows, values) if not row[0]]
+    if not black or not blue or min(black) <= max(blue):
+        return False
+    # (a): per row, N * (f + slack) floored for a black row and
+    # N * (f - slack) ceiled for a blue one, and the coefficient bump
+    ends, bumps = [], []
+    for (is_black, _, _, weight, err, g, _), f in zip(rows, values):
+        slack = weight * grid + err
+        ends.append(_floor_float(f + slack, unit) if is_black
+                    else -_floor_float(slack - f, unit))
+        bumps.append(_floor_times(base_lo, g))
+
+    def reaches():
+        rows_ends = list(zip(rows, ends, bumps))
+        return (min(e - b for row, e, b in rows_ends if row[0]),
+                max(e + b for row, e, b in rows_ends if not row[0]))
+
+    # first with the coefficient bumps, the most L can be: a square that
+    # this leaves open may pass, and needs no derivative floats; nor does
+    # a row whose reach misses the other color's even so
+    black_reach, blue_reach = reaches()
+    if black_reach > blue_reach:
+        return False
+    cosines = [math.cos(a) for a in angles]
+    xs = [m * c for (_, m, _), c in zip(atoms, cosines)]
+    ys = [n * c for (_, _, n), c in zip(atoms, cosines)]
+    for k, row in enumerate(rows):
+        if (ends[k] - bumps[k] > blue_reach if row[0]
+                else ends[k] + bumps[k] < black_reach):
+            continue
+        fx = fy = 0.0
+        for i, c in zip(row[1], row[2]):
+            fx += c * xs[i]
+            fy += c * ys[i]
+        dist = 0
+        for f, (weight, err, g2) in zip((fx, fy), row[6]):
+            gap = max(abs(f) - (weight * grid + err), 0.0)
+            dist += _floor_float(gap, unit) + _floor_times(base_lo, g2)
+        bumps[k] = min(bumps[k], _floor_times(rad_lo, dist))
+    black_reach, blue_reach = reaches()
+    return black_reach <= blue_reach
 
 
 def _chord_in_square(system: RegionSystem, square: Square):
@@ -410,6 +495,42 @@ def certify_square(system: RegionSystem, square: Square,
     "indeterminate" with note ``NO_PRECISION_PASSES``, decided on
     integers like every pass.
 
+    Float retry gate.  After the screen and before any exact sum, the gate
+    is tried in doubles.  The exact bounds count in 1/N, N = den *
+    10^precision; f, err and slack are a row's float value, float error
+    and screen slack.  It returns the gate's verdict only where three
+    conditions hold, which make it the exact path's verdict:
+
+    - (a) the exact gate fires: min over black rows of
+      (floor(N * (f + slack)) - L) <= max over blue rows of
+      (ceil(N * (f - slack)) + L).  The integer hi is at most
+      N * (f + slack) and lo at least N * (f - slack), and L = min(
+      floor(rho * g), floor(rho * d' / 10^precision)) is at most the
+      exact bump, since d' <= d: d' sums over both parts
+      floor(N * max(0, |f_d| - slack_d)) + floor(rho * g2).  A part's
+      float value f_d sums the row's c/den times m*cos (n*cos) of each
+      atom's angle, the cosine with the sine's error argument and the
+      products adding 3u per unit of |c*m|/den (|c*n|/den), within the
+      budget above; its weight w_d and k terms give slack_d =
+      w_d * 2 * 10^-precision + err_d as above.  The part's exact bounds
+      lie within w_d * 2 * 10^-precision of its true value, and that
+      within err_d of f_d, so their distance from 0 is at least
+      N * (|f_d| - slack_d).  Each floor(N * v) is exact, on v's integer
+      ratio.
+    - (b) the exact "center fails" test does not fire: min over black rows
+      of (f - err) > max over blue rows of (f + err) puts every true black
+      score above every true blue one, and the bounds enclose them.
+    - (c) neither sweep passes.  This follows from (a): with exact bumps
+      bump_lo <= bump2 <= bump and lo <= hi, min over black rows of
+      (lo - bump2) <= min over black rows of (hi - bump_lo) <= max over
+      blue rows of (lo + bump_lo) <= max over blue rows of (hi + bump2).
+
+    (a) is first tried with L = floor(rho * g), the most L can be; a square
+    that leaves open may pass, and needs no derivative floats.  Nor does a
+    row whose reach misses the other color's even then, a black one above
+    every blue reach or a blue one below every black reach: it keeps that
+    L, and smaller L elsewhere only widen its miss, so it never decides.
+
     ``cache`` maps atoms to kernel bounds at the square's center and one
     precision, and may be shared by band systems certifying the same
     square; a line system evaluates at its own chord midpoint and takes
@@ -431,12 +552,15 @@ def certify_square(system: RegionSystem, square: Square,
         if chord is None:
             return Certificate("fail", note="line misses the square")
         X, Y, W = to_homogeneous(segment_midpoint(chord))
-    if _center_fails(system, X, Y, W, precision):
+    angles, values = _center_floats(system, X, Y, W)
+    if _center_fails(system, values, precision):
         return Certificate("fail", note=CENTER_FAILS)
+    rad_lo, rad = (q * square.r for q in _rad_per_degree(precision))
+    if _hopeless(system, angles, values, precision, rad_lo):
+        return Certificate("indeterminate", note=NO_PRECISION_PASSES)
     if cache is None:
         cache = {}
     scale = 10 ** precision
-    rad_lo, rad = (q * square.r for q in _rad_per_degree(precision))
     base = rad * scale
     black_min = blue_max = None
     black_hi_min = blue_lo_max = None
@@ -610,6 +734,9 @@ class CoverResult:
             raise ValueError(f"precision below {MIN_PRECISION} in cover line "
                              f"{lines[1]!r}")
         max_depth = _integer(_field(lines[2], "max-depth"), lines[2])
+        if max_depth < 0:
+            raise ValueError(f"negative max-depth in cover line "
+                             f"{lines[2]!r}")
         target = tuple(_vertex(item, lines[3])
                        for item in _field(lines[3], "target").split())
         if len(target) < 3:
@@ -745,7 +872,8 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
     """Certify a convex rational target polygon against a corpus of codes.
 
     The target must be convex, with no vertex repeated in a row (collinear
-    vertices are fine); any other polygon raises ``ValueError``.
+    vertices are fine); any other polygon raises ``ValueError``, and so do
+    a precision below ``MIN_PRECISION`` and a negative ``max_depth``.
     Quadtree from the target's bounding square, visited breadth first:
     nodes missing the target (or overlapping it with zero area) are
     dropped, certified nodes become records, everything else splits until
@@ -761,6 +889,11 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
     could never be candidates.  ``threads`` is accepted for compatibility
     and ignored.
     """
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision {precision} below minimum "
+                         f"{MIN_PRECISION}")
+    if max_depth < 0:
+        raise ValueError(f"negative max_depth {max_depth}")
     codes = [getattr(e, "code", e) for e in corpus]
     target = [(Fraction(x), Fraction(y)) for x, y in target]
     if len(target) < 3 or polygon_area2(target) == 0:

@@ -321,6 +321,17 @@ class TestOrbitTrace:
         assert code == 3
         assert "does not enter" in err
 
+    @pytest.mark.parametrize("angle", ["0", "180"])
+    def test_trace_ray_along_its_side(self, capsys, angle):
+        # side 1 runs along the x axis; in doubles sin(180 degrees) is
+        # 1.2e-16, not 0, so only a tolerance tells this ray from one
+        # that enters
+        code, out, err = run(capsys, "trace", "--at", "60,60", "--side", "1",
+                             "--offset", "1/2", "--angle", angle)
+        assert code == 3
+        assert "does not enter the interior" in err
+        assert not out
+
 
 class TestParser:
     def test_no_command(self, capsys):

@@ -9,6 +9,7 @@ sample points, before being frozen here.
 import collections
 import hashlib
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from billiardpath.classify import (angle_bounding_polygon, classify_code,
 from billiardpath.corpus import load_default_corpus
 from billiardpath.geometry import (clip_polygon, polygon_area2, polygon_bbox,
                                    segment_midpoint, to_homogeneous)
-from billiardpath.numeric import pi_enclosure, sin_scaled, sum_bounds
+from billiardpath.numeric import (gradient_sum, pi_enclosure, sin_scaled,
+                                  sum_bounds)
 from billiardpath.prover import (
     CENTER_FAILS,
     NO_PRECISION_PASSES,
@@ -138,24 +140,28 @@ def reference_certify(system, square, precision=7):
 
 def traced_cover(target, codes):
     """Run ``cover`` with counting wrappers around ``certify_square`` and
-    the float screen; returns the result, every certify call as
-    (system, square, precision, certificate), and the screen's fails."""
+    its two float filters; returns the result, every certify call as
+    (system, square, precision, certificate), and the filters' verdicts
+    counted by (filter name, verdict)."""
     calls, screened = [], collections.Counter()
-    real_certify, real_screen = prover.certify_square, prover._center_fails
+    real_certify = prover.certify_square
 
     def certify(system, square, precision=7, cache=None):
         cert = real_certify(system, square, precision, cache)
         calls.append((system, square, precision, cert))
         return cert
 
-    def screen(*args):
-        got = real_screen(*args)
-        screened[got] += 1
-        return got
+    def counting(name, real):
+        def wrapper(*args):
+            got = real(*args)
+            screened[name, got] += 1
+            return got
+        return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prover, "certify_square", certify)
-        mp.setattr(prover, "_center_fails", screen)
+        for name in ("_center_fails", "_hopeless"):
+            mp.setattr(prover, name, counting(name, getattr(prover, name)))
         result = cover(target, codes)
     return result, calls, screened
 
@@ -510,6 +516,17 @@ class TestCover:
         with pytest.raises(ValueError):
             cover([(0, 0), (1, 1), (2, 2)], [ORTHIC])
 
+    @pytest.mark.parametrize("codes", [[], [ORTHIC]])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"precision": 3}, "precision 3 below minimum 7"),
+        ({"max_depth": -1}, "negative max_depth -1"),
+    ])
+    def test_arguments_no_record_can_hold_rejected(self, codes, kwargs,
+                                                   message):
+        # with or without candidates, before any square is certified
+        with pytest.raises(ValueError, match=message):
+            cover(PRESETS["acute-demo"], codes, **kwargs)
+
     @pytest.mark.parametrize("target, message", [
         # a dart: the vertex 60,55 is reflex
         ([(50, 50), (70, 50), (60, 55), (70, 70), (50, 70)], "not convex"),
@@ -641,7 +658,7 @@ class TestCover:
         outcomes = collections.Counter((p, c.status, c.note)
                                        for _, _, p, c in calls)
         assert outcomes[(7, "fail", CENTER_FAILS)] == 1670
-        assert screened[True] == 1670
+        assert screened["_center_fails", True] == 1670
         assert outcomes[(7, "pass", "")] == 479
         assert outcomes[(7, "indeterminate", NO_PRECISION_PASSES)] == 516
         assert not [c for c in calls if c[2] != 7]
@@ -769,6 +786,10 @@ class TestCover:
         for bad in ("precision 3", "precision seven"):
             with pytest.raises(ValueError, match="cover line"):
                 CoverResult.parse(text.replace("precision 7", bad))
+        with pytest.raises(ValueError,
+                           match="negative max-depth in cover line "
+                                 "'max-depth -1'"):
+            CoverResult.parse(text.replace("max-depth 20", "max-depth -1"))
 
     def test_parse_names_the_line_of_a_nonpositive_half_side(self):
         text = cover(PRESETS["acute-demo"], [ORTHIC]).to_text()
@@ -793,10 +814,15 @@ class TestCover:
                                            "failure 60 60 -2"))
 
 
+def integer_gate_only(monkeypatch):
+    """Switch off the float retry gate, leaving the integer one."""
+    monkeypatch.setattr(prover, "_hopeless", lambda *args: False)
+
+
 class TestFilters:
-    """The float screen and the retry gate of ``certify_square``, and the
-    kernel cache ``cover`` shares across a square's candidates, against
-    the exact reference."""
+    """The float screen and the float and integer retry gates of
+    ``certify_square``, and the kernel cache ``cover`` shares across a
+    square's candidates, against the exact reference."""
 
     @pytest.mark.parametrize("run", ["deep_run", "thin_run"])
     def test_verdicts_match_the_exact_reference(self, run, request):
@@ -819,6 +845,116 @@ class TestFilters:
             for precision in (14, 30):
                 assert not reference_certify(system, square, precision).passed
 
+    @pytest.mark.parametrize("run, gated", [("deep_run", 139),
+                                            ("thin_run", 516)])
+    def test_float_gate_marks_only_what_the_integer_gate_marks(
+            self, run, gated, request, monkeypatch):
+        # every certify call of the run, repeated on the integer path:
+        # the same status, note and margin, and the float gate decided
+        # every call the integer gate marks
+        _, calls, screened = request.getfixturevalue(run)
+        integer_gate_only(monkeypatch)
+        marked = 0
+        for system, square, precision, cert in calls:
+            want = certify_square(system, square, precision)
+            assert (cert.status, cert.note, cert.margin) == \
+                (want.status, want.note, want.margin), \
+                (system, square, precision)
+            marked += want.note == NO_PRECISION_PASSES
+        assert marked == screened["_hopeless", True] == gated
+
+    def test_float_derivative_rows_mirror_the_exact_ones(self):
+        corpus = load_default_corpus()
+        for system in [region_system(corpus[i].code) for i in DEEP_CODES]:
+            for row, screen, exact in zip(system.rows, system.screen[1],
+                                          system.deriv_rows()):
+                assert screen[5] == row[2]
+                for (weight, _, g2), (dterms, want_g2) in \
+                        zip(screen[6], exact):
+                    assert g2 == want_g2
+                    assert weight == \
+                        sum(abs(c) for _, c in dterms) / system.den
+
+    def test_float_gate_never_marks_what_passes_or_fails(self, monkeypatch):
+        # seeded squares in corpus systems' polygons, half sides from
+        # 2^-20 to the strip-75-80 root's, at 7 and 14 digits: wherever
+        # the float gate fires, the integer path marks the square too
+        corpus = load_default_corpus()
+        systems = [region_system(corpus[i].code) for i in DEEP_CODES]
+        systems.append(region_system(ORTHIC))
+        x0, y0, x1, y1 = polygon_bbox(PRESETS["strip-75-80"])
+        top = max(x1 - x0, y1 - y0) / 2
+        rng = random.Random(15)
+        cases = []
+        for _ in range(1200):
+            system = rng.choice(systems)
+            vertices = system.polygon.vertices
+            weights = [rng.randrange(1, 64) for _ in vertices]
+            r = top / 2 ** rng.randrange(25)
+            # the weighted vertex average, on the grid of r/8
+            x, y = (round(sum(w * v[k] for w, v in zip(weights, vertices))
+                          / sum(weights) * 8 / r) * r / 8 for k in (0, 1))
+            cases.append((system, Square(x, y, r), rng.choice((7, 14))))
+        real, fired = prover._hopeless, collections.Counter()
+
+        def gate(*args):
+            got = real(*args)
+            fired[got] += 1
+            return got
+
+        monkeypatch.setattr(prover, "_hopeless", gate)
+        got = [certify_square(*case) for case in cases]
+        integer_gate_only(monkeypatch)
+        seen = collections.Counter()
+        for case, cert in zip(cases, got):
+            want = certify_square(*case)
+            assert (cert.status, cert.note, cert.margin) == \
+                (want.status, want.note, want.margin), case
+            seen[want.status, want.note] += 1
+        # the gate weighed every square that passes, and marked some
+        assert fired[False] >= seen["pass", ""] > 300
+        assert fired[True] > 20
+
+    def test_float_gate_slack_covers_the_kernel_width(self, monkeypatch):
+        # a black row one unit above a blue one, so that the integer gate
+        # turns on at one half side, found by bisection: across half sides
+        # moving each bump from 25 grid units below that to 75 above, the
+        # float gate marks only squares the integer path marks, and it
+        # marks those from about 8 units above on
+        hopeless = prover._hopeless
+        integer_gate_only(monkeypatch)
+        polygon = types.SimpleNamespace(faces=(), is_empty=False)
+        black = ((("sin", 1, 0), 1), (("cos", 1, 1), -1))
+
+        def gate(gap, x, y, r):
+            blue = black + ((("cos", 0, 0), -gap),)
+            rows = tuple((is_black, terms, gradient_sum(terms))
+                         for is_black, terms in ((True, black), (False, blue)))
+            system = RegionSystem(None, None, "band", polygon, None, None,
+                                  (), rows, 1)
+            angles, values = prover._center_floats(
+                system, *to_homogeneous((F(x), F(y))))
+            cert = certify_square(system, Square(x, y, r), 7)
+            return cert, hopeless(system, angles, values, 7,
+                                  prover._rad_per_degree(7)[0] * r)
+
+        lo, hi = F(0), F(60)
+        while hi - lo > hi / 10 ** 10:
+            mid = (lo + hi) / 2
+            marked = gate(1, 20, 30, mid)[0].note == NO_PRECISION_PASSES
+            lo, hi = (lo, mid) if marked else (mid, hi)
+        seen = collections.Counter()
+        for j in range(-100, 300):
+            cert, fires = gate(1, 20, 30, hi + j * hi / (4 * 10 ** 7))
+            seen[fires, cert.note == NO_PRECISION_PASSES] += 1
+        assert not seen[True, False]
+        assert seen[False, False] == 100 and seen[True, True] > 200, seen
+        # equal rows with exact sines: the exact center test fails them,
+        # and the float gate leaves them to it
+        for r in (1, 10, 40):
+            cert, fires = gate(0, 30, 60, r)
+            assert cert.note == CENTER_FAILS and not fires
+
     @pytest.mark.parametrize("x, y, r, index, margin", [
         (F(48595, 4096), F(264375, 4096), F(65, 4096), 91,
          F(47382509, 50000000000000)),
@@ -828,7 +964,8 @@ class TestFilters:
     def test_gate_leaves_squares_that_pass_at_14_digits(self, x, y, r, index,
                                                         margin):
         # two of the three squares of the full strip-75-80 cover that
-        # pass only on retry, each against its code under assignment ZY
+        # pass only on retry, each against its code under assignment ZY:
+        # neither the float nor the integer retry gate marks them
         code = load_default_corpus()[index].code
         asg = [a for a in all_assignments(code)
                if a.symbol(1) + a.symbol(2) == "ZY"][0]
@@ -860,7 +997,8 @@ class TestFilters:
             X, Y, W = to_homogeneous((x, y))
             for system in systems:
                 for precision in (7, 14):
-                    screened = prover._center_fails(system, X, Y, W,
+                    _, values = prover._center_floats(system, X, Y, W)
+                    screened = prover._center_fails(system, values,
                                                     precision)
                     seen[screened] += 1
                     if screened:
@@ -892,7 +1030,8 @@ class TestFilters:
             lo_hi = [sum_bounds(terms, X, Y, W, precision, {})
                      for _, terms, _ in rows]
             exact = lo_hi[0][1] <= lo_hi[1][0]
-            screened[shift] = prover._center_fails(system, X, Y, W,
+            _, values = prover._center_floats(system, X, Y, W)
+            screened[shift] = prover._center_fails(system, values,
                                                    precision)
             assert exact or not screened[shift], shift
         # a gap of 2^-20 is past the slack at both precisions, 2^-40
