@@ -292,23 +292,44 @@ def _between(a: int, b: int, c: int):
     return (a, b, c), (-a, -b, 180 - c)
 
 
+def _largest_fans(code: CodeSequence, asg: AngleAssignment):
+    """The largest fan n at each symbol the code visits."""
+    mx: dict[str, int] = {}
+    for i, v in enumerate(code.codes, 1):
+        s = asg.symbol(i)
+        if v > mx.get(s, 0):
+            mx[s] = v
+    return mx
+
+
 def _corner_halfplanes(code: CodeSequence, asg: AngleAssignment):
     """0 < n*angle < 180 from the largest fan n at each symbol."""
-    mx: dict[str, int] = {}
-    for i, v in enumerate(code.codes):
-        s = asg.symbol(i + 1)
-        mx[s] = max(mx.get(s, 0), v)
     out = []
-    for s, n in sorted(mx.items()):
+    for s, n in sorted(_largest_fans(code, asg).items()):
         wx, wy, wc = _SYMBOL_FORMS[s]
         out += _between(n * wx, n * wy, n * wc * 90)
     return out
 
 
-def corner_bounding_polygon(code: CodeSequence,
-                            asg: AngleAssignment) -> BoundingPolygon:
-    """Bounds 0 < n*angle < 180 from the largest fan at each symbol."""
-    return BoundingPolygon(_corner_halfplanes(code, asg))
+def corner_box(code: CodeSequence, asg: AngleAssignment):
+    """Bounding box (x0, y0, x1, y1) of the corner bounds
+    0 < n*angle < 180 with the base triangle, or None when they are empty.
+
+    With a = 180/n_X, b = 180/n_Y and c = 180 - 180/n_Z, an absent symbol
+    counting as n = 1 (no bound past the base triangle), the region is
+    x < a, y < b, x + y > c inside the base triangle.  It is empty when
+    a + b <= c, that is 1/n_X + 1/n_Y + 1/n_Z <= 1; otherwise x runs over
+    (max(0, c - b), a) and y over (max(0, c - a), b), each end reached on
+    the closure, since c < 180.
+    """
+    fans = _largest_fans(code, asg)
+    nx, ny, nz = (fans.get(s, 1) for s in "XYZ")
+    if (nx + ny) * nz + nx * ny <= nx * ny * nz:
+        return None
+    # c - b = 180 * (ny*nz - ny - nz) / (ny*nz), and c - a alike
+    return (Fraction(max(0, 180 * (ny * nz - ny - nz)), ny * nz),
+            Fraction(max(0, 180 * (nx * nz - nx - nz)), nx * nz),
+            Fraction(180, nx), Fraction(180, ny))
 
 
 _POLYGON_CACHE: dict = {}

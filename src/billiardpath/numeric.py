@@ -6,14 +6,18 @@ pi; nothing in this module touches floating point, and there is no interval
 division anywhere.
 
 The enclosure kernel ``sin_scaled`` takes an angle as an integer ratio and
-returns integers on the 10^-precision grid: it folds, runs the Taylor
-series, adds the pi bracket's slack and rounds outward without building a
-single ``Fraction``.  ``enclose_sin`` and ``enclose_cos`` wrap one result in
-an ``Interval``.  Every trig sum is evaluated by one rule, ``sum_bounds``:
-at a homogeneous integer point it adds up integer coefficients times kernel
-bounds, so ``TrigPoly.eval``, the towers and the prover's square
-certification all meet the same integers, and ``TrigPoly.eval`` builds one
-``Interval`` at the end.
+returns integers on the 10^-precision grid: ``fold_degrees`` folds it into
+[0, 90] degrees with a sign, and the folded kernel runs the Taylor series,
+adds the pi bracket's slack and rounds outward without building a single
+``Fraction``.  The folded kernel depends on the folded numerator alone once
+the denominator and precision are fixed, so a caller may pass a memo keyed
+by that integer: ``cover`` keeps one per quadtree level and precision,
+where every square shares one denominator.  ``enclose_sin`` and
+``enclose_cos`` wrap one result in an ``Interval``.  Every trig sum is
+evaluated by one rule, ``sum_bounds``: at a homogeneous integer point it
+adds up integer coefficients times kernel bounds, so ``TrigPoly.eval``, the
+towers and the prover's square certification all meet the same integers,
+and ``TrigPoly.eval`` builds one ``Interval`` at the end.
 
 A ``TrigPoly`` keeps its coefficients as integers over one common
 denominator in lowest terms.  Product-to-sum rewriting halves and
@@ -180,17 +184,10 @@ def _sin_series_bracket(t_num: int, t_den: int, scale: int) -> tuple[int, int]:
         term_hi = _cdiv(term_hi * t2n, d)
 
 
-def sin_scaled(num: int, den: int, precision: int) -> tuple[int, int]:
-    """sin(num/den degrees) as integers (lo, hi) times 10^-precision, rounded
-    outward; ``den`` must be positive.
-
-    The angle is folded into [0, 90] on ``num`` alone.  The rational values
-    0, 1/2 and 1 come back exact; otherwise the series runs on the lower pi
-    bracket, and the pi bracket's slack (|sin'| <= 1) and the outward
-    rounding onto the grid are one floor and one ceiling division.
-    """
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision {precision} below minimum {MIN_PRECISION}")
+def fold_degrees(num: int, den: int) -> tuple[int, bool]:
+    """Fold num/den degrees (``den`` positive) into [0, 90] degrees with a
+    sign: (num', neg) with 0 <= num' <= 90*den and
+    sin(num/den) = -+ sin(num'/den), minus when ``neg``."""
     full = 180 * den
     num %= 2 * full
     neg = num > full
@@ -198,11 +195,17 @@ def sin_scaled(num: int, den: int, precision: int) -> tuple[int, int]:
         num -= full
     if 2 * num > full:
         num = full - num
+    return num, neg
+
+
+def _sin_folded(num: int, den: int, precision: int) -> tuple[int, int]:
+    """The kernel on a folded angle, 0 <= num/den <= 90 degrees."""
     s = 10 ** precision
     # folded angles with rational sine values: 0, 30 and 90 degrees
     exact = {0: 0, 30 * den: s // 2, 90 * den: s}.get(num)
     if exact is not None:
-        return (-exact, -exact) if neg else (exact, exact)
+        return exact, exact
+    full = 180 * den
     work = precision + _GUARD
     p_lo, p_hi = _pi_bracket(work)
     t_num, t_den = num * p_lo, full * 10 ** work
@@ -213,8 +216,34 @@ def sin_scaled(num: int, den: int, precision: int) -> tuple[int, int]:
     # are (s_lo*full - slack) and (s_hi*full + slack) over full*10^_GUARD
     slack = num * (p_hi - p_lo)
     d = full * 10 ** _GUARD
-    lo = max((s_lo * full - slack) // d, 0)
-    hi = min(_cdiv(s_hi * full + slack, d), s)
+    return (max((s_lo * full - slack) // d, 0),
+            min(_cdiv(s_hi * full + slack, d), s))
+
+
+def sin_scaled(num: int, den: int, precision: int,
+               memo: dict | None = None) -> tuple[int, int]:
+    """sin(num/den degrees) as integers (lo, hi) times 10^-precision, rounded
+    outward; ``den`` must be positive.
+
+    The angle is folded into [0, 90] by ``fold_degrees``.  The rational
+    values 0, 1/2 and 1 come back exact; otherwise the series runs on the
+    lower pi bracket, and the pi bracket's slack (|sin'| <= 1) and the
+    outward rounding onto the grid are one floor and one ceiling division.
+    The result depends on the ratio num/den alone.
+
+    ``memo`` maps folded numerators to the folded kernel's pair; it must
+    belong to one ``den`` and one precision, and a hit skips the series.
+    """
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision {precision} below minimum {MIN_PRECISION}")
+    num, neg = fold_degrees(num, den)
+    if memo is None:
+        lo, hi = _sin_folded(num, den, precision)
+    else:
+        got = memo.get(num)
+        if got is None:
+            got = memo[num] = _sin_folded(num, den, precision)
+        lo, hi = got
     return (-hi, -lo) if neg else (lo, hi)
 
 
@@ -232,14 +261,16 @@ def enclose_cos(angle, precision: int = MIN_PRECISION) -> Interval:
 
 
 def sum_bounds(terms, X: int, Y: int, W: int, precision: int,
-               cache: dict) -> tuple[int, int]:
+               cache: dict, memo: dict | None = None) -> tuple[int, int]:
     """Bounds of  sum c * kind(m*x + n*y)  at the point (X/W, Y/W) degrees.
 
     ``terms`` holds ((kind, m, n), c) pairs with integer ``c``; W > 0.  The
     result is integers (lo, hi) times 10^-precision, rounded outward.  Each
     argument goes to the kernel as the integer ratio (m*X + n*Y) / W, plus
     90 degrees for a cosine.  ``cache`` maps (kind, m, n) to the kernel's
-    pair and belongs to one point and one precision.
+    pair and belongs to one point and one precision.  On a cache miss the
+    kernel consults ``memo``, which belongs to one W and one precision and
+    may serve many points (see ``sin_scaled``).
     """
     lo = hi = 0
     for key, c in terms:
@@ -249,7 +280,7 @@ def sum_bounds(terms, X: int, Y: int, W: int, precision: int,
             num = m * X + n * Y
             if kind == "cos":
                 num += 90 * W
-            got = cache[key] = sin_scaled(num, W, precision)
+            got = cache[key] = sin_scaled(num, W, precision, memo)
         if c >= 0:
             lo += c * got[0]
             hi += c * got[1]

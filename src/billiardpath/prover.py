@@ -30,13 +30,17 @@ row.
 
 Exact work is done only where it can change the answer.  A float screen
 with a proven error slack rejects a square whose center certainly fails
-before any exact sum.  A retry gate marks an indeterminate square that no
-precision could pass, and ``cover`` does not retry it: its float form,
-with the same slack, marks most such squares before any exact sum, and
-its integer form, after the exact sums, the rest.  ``cover`` shares one
-kernel cache among the candidates of a square.  Floats only ever skip
-work whose exact verdict is known ("fail", or "no precision can pass"),
-so every verdict and record is what the exact path alone would give.
+before any exact sum; each system remembers the black and blue rows that
+decided its last such failure, and tries that pair alone first, which
+settles most failures from a handful of sines.  A retry gate marks an
+indeterminate square that no precision could pass, and ``cover`` does not
+retry it: its float form, with the same slack, marks most such squares
+before any exact sum, and its integer form, after the exact sums, the
+rest.  ``cover`` shares one kernel cache among the candidates of a
+square, and one memo of folded kernel values among the squares of a
+level.  Floats only ever skip work whose exact verdict is known ("fail",
+or "no precision can pass"), so every verdict and record is what the
+exact path alone would give.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from .classify import (angle_bounding_polygon, corner_bounding_polygon,
-                       is_stable, line_region)
+from .classify import (angle_bounding_polygon, corner_box, is_stable,
+                       line_region)
 from .geometry import (line_segment_in_halfplanes, polygon_area2,
                        polygon_bbox, segment_midpoint, to_homogeneous)
 from .numeric import (MIN_PRECISION, TrigPoly, gradient_sum, pi_enclosure,
@@ -174,11 +178,12 @@ class RegionSystem:
     indices, float coefficients c/den, weight sum |c|/den, float-error
     slack, g, parts), the two parts being the weight sum |c*m|/den (|c*n|
     /den), float-error slack and gradient sum g2 of the d/dx (d/dy) rows
-    of ``deriv_rows``.
+    of ``deriv_rows``.  ``witness`` is the (black, blue) pair of row
+    indices that decided the screen's last "center fails", or None.
     """
 
     __slots__ = ("code", "asg", "kind", "polygon", "line", "sym", "keys",
-                 "rows", "den", "screen", "_deriv")
+                 "rows", "den", "screen", "witness", "_deriv")
 
     def __init__(self, code, asg, kind, polygon, line, sym, keys, rows, den):
         self.code = code
@@ -191,6 +196,7 @@ class RegionSystem:
         self.rows = rows
         self.den = den
         self.screen = _screen_rows(rows, den)
+        self.witness = None
         self._deriv = None
 
     @property
@@ -319,22 +325,25 @@ def _floor_times(q: Fraction, k: int) -> int:
     return k * q.numerator // q.denominator
 
 
+def _atom_angle(atom, X: int, Y: int, W: int) -> float:
+    """An atom's angle at (X/W, Y/W) in radians, reduced modulo 360
+    degrees on integers and taken to a double by one rounded division."""
+    kind, m, n = atom
+    num = m * X + n * Y
+    if kind == "cos":
+        num += 90 * W
+    return num % (360 * W) / W * _RAD
+
+
 def _center_floats(system: RegionSystem, X: int, Y: int, W: int):
     """Each atom's angle in radians and each row's value, in doubles.
 
-    The angle is reduced modulo 360 degrees on integers and taken to a
-    double by one rounded division, so no float error grows with it; a
+    Angles come from ``_atom_angle``, so no float error grows with them; a
     cosine atom carries its 90 degrees in the angle, so the sine of every
     angle is the atom and its cosine the atom's derivative factor.
     """
     atoms, rows = system.screen
-    period = 360 * W
-    angles = []
-    for kind, m, n in atoms:
-        num = m * X + n * Y
-        if kind == "cos":
-            num += 90 * W
-        angles.append(num % period / W * _RAD)
+    angles = [_atom_angle(atom, X, Y, W) for atom in atoms]
     sines = [math.sin(a) for a in angles]
     values = []
     for row in rows:
@@ -349,19 +358,46 @@ def _center_fails(system: RegionSystem, values, precision: int) -> bool:
     """Float screen: True only where the exact center test fails too.
 
     ``values`` are ``_center_floats``' rows; each is known to within its
-    slack (see ``certify_square``) of what its exact bounds enclose.
+    slack (see ``certify_square``) of what its exact bounds enclose.  A
+    failing screen keeps its deciding black and blue rows as the system's
+    ``witness``.
     """
     grid = 2 / 10 ** precision
-    black_hi = blue_lo = None
-    for (is_black, _, _, weight, err, _, _), f in zip(system.screen[1],
-                                                      values):
+    black = blue = None  # (bound, row index)
+    for k, ((is_black, _, _, weight, err, _, _), f) in enumerate(
+            zip(system.screen[1], values)):
         slack = weight * grid + err
         if is_black:
-            if black_hi is None or f + slack < black_hi:
-                black_hi = f + slack
-        elif blue_lo is None or f - slack > blue_lo:
-            blue_lo = f - slack
-    return black_hi is not None and blue_lo is not None and black_hi < blue_lo
+            if black is None or f + slack < black[0]:
+                black = (f + slack, k)
+        elif blue is None or f - slack > blue[0]:
+            blue = (f - slack, k)
+    if black is None or blue is None or black[0] >= blue[0]:
+        return False
+    system.witness = (black[1], blue[1])
+    return True
+
+
+def _witness_fails(system: RegionSystem, X: int, Y: int, W: int,
+                   precision: int) -> bool:
+    """The float screen on the system's witness rows alone, each row's
+    double computed as ``_center_floats`` computes it: True only where
+    ``_center_fails`` would be True (see ``certify_square``)."""
+    if system.witness is None:
+        return False
+    atoms, rows = system.screen
+    grid = 2 / 10 ** precision
+
+    def value_and_slack(k):
+        _, indices, coeffs, weight, err, _, _ = rows[k]
+        f = 0.0
+        for i, c in zip(indices, coeffs):
+            f += c * math.sin(_atom_angle(atoms[i], X, Y, W))
+        return f, weight * grid + err
+
+    (black, black_slack), (blue, blue_slack) = map(value_and_slack,
+                                                   system.witness)
+    return black + black_slack < blue - blue_slack
 
 
 def _floor_float(v: float, k: int) -> int:
@@ -447,7 +483,8 @@ NO_PRECISION_PASSES = "no precision can pass"
 
 def certify_square(system: RegionSystem, square: Square,
                    precision: int = MIN_PRECISION,
-                   cache: dict | None = None) -> Certificate:
+                   cache: dict | None = None,
+                   memo: dict | None = None) -> Certificate:
     """Gradient step on one square: every black key point must outscore
     every blue one across the whole square.
 
@@ -531,10 +568,21 @@ def certify_square(system: RegionSystem, square: Square,
     every blue reach or a blue one below every black reach: it keeps that
     L, and smaller L elsewhere only widen its miss, so it never decides.
 
+    Witness rows.  Before the screen, the two rows that decided the
+    system's last screened "center fails" are evaluated alone, each in
+    doubles exactly as the screen evaluates it, taking sines of their own
+    atoms only.  When the black one's f + slack is below the blue one's
+    f - slack, the least black f + slack is below the greatest blue
+    f - slack, so the full screen would fail the square too: the verdict
+    is that "fail" with note ``CENTER_FAILS``, and otherwise the full
+    screen runs.
+
     ``cache`` maps atoms to kernel bounds at the square's center and one
     precision, and may be shared by band systems certifying the same
-    square; a line system evaluates at its own chord midpoint and takes
-    none.
+    square.  ``memo`` is the kernel's memo of folded angles
+    (``numeric.sin_scaled``) for the square's W and one precision, and
+    may be shared by every square with that W.  A line system evaluates
+    at its own chord midpoint and takes neither.
     """
     if precision < MIN_PRECISION:
         raise ValueError(
@@ -546,12 +594,15 @@ def certify_square(system: RegionSystem, square: Square,
             return Certificate("fail", note="outside the code's polygon")
         X, Y, W = square.X, square.Y, square.W
     else:
-        if cache is not None:
-            raise ValueError("a line system takes no shared kernel cache")
+        if cache is not None or memo is not None:
+            raise ValueError("a line system takes no shared kernel cache "
+                             "or memo")
         chord = _chord_in_square(system, square)
         if chord is None:
             return Certificate("fail", note="line misses the square")
         X, Y, W = to_homogeneous(segment_midpoint(chord))
+    if _witness_fails(system, X, Y, W, precision):
+        return Certificate("fail", note=CENTER_FAILS)
     angles, values = _center_floats(system, X, Y, W)
     if _center_fails(system, values, precision):
         return Certificate("fail", note=CENTER_FAILS)
@@ -566,7 +617,7 @@ def certify_square(system: RegionSystem, square: Square,
     black_hi_min = blue_lo_max = None
     evals = []
     for is_black, terms, g in system.rows:
-        lo, hi = sum_bounds(terms, X, Y, W, precision, cache)
+        lo, hi = sum_bounds(terms, X, Y, W, precision, cache, memo)
         bump = _ceil_times(base, g)
         evals.append((is_black, lo, hi, bump, g))
         if is_black:
@@ -601,7 +652,7 @@ def certify_square(system: RegionSystem, square: Square,
     for (is_black, lo, hi, bump, g), parts in zip(evals, drows):
         sup = dist = 0
         for dterms, g2 in parts:
-            dlo, dhi = sum_bounds(dterms, X, Y, W, precision, cache)
+            dlo, dhi = sum_bounds(dterms, X, Y, W, precision, cache, memo)
             sup += max(abs(dlo), abs(dhi)) + _ceil_times(base, g2)
             dist += max(dlo, -dhi, 0) + _floor_times(base_lo, g2)
         bump2 = min(bump, _ceil_times(rad, sup))
@@ -881,13 +932,16 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
     An indeterminate verdict retries at double precision before splitting,
     unless ``certify_square``'s gate showed that no precision can pass;
     such a candidate still leads its children's candidate order.  The
-    candidates of one square share one kernel cache per precision.
-    Candidate order is the corpus order filtered down the parent chain,
-    with the parent's most promising code tried first.  Only the plans
-    whose corner bound (``corner_bounding_polygon``) has a box meeting the
-    root square have their full bounding polygon compiled; the others
-    could never be candidates.  ``threads`` is accepted for compatibility
-    and ignored.
+    candidates of one square share one kernel cache per precision, and
+    the squares of one level, which share one W, share one kernel memo per
+    precision; both memos are dropped when the next level starts, so they
+    never hold more than one level's angles.  Candidate order is the
+    corpus order filtered down the parent chain, with the parent's most
+    promising code tried first.  Only the plans whose corner box
+    (``classify.corner_box``, the closed-form box of the bounds
+    0 < n*angle < 180 on the largest fans) meets the root square have
+    their full bounding polygon compiled; the others could never be
+    candidates.  ``threads`` is accepted for compatibility and ignored.
     """
     if precision < MIN_PRECISION:
         raise ValueError(f"precision {precision} below minimum "
@@ -905,14 +959,14 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
     root = Square((x0 + x1) / 2, (y0 + y1) / 2, max(x1 - x0, y1 - y0) / 2)
     # (key, polygon, box) per (entry index, assignment index), in corpus
     # order; a line system never certifies area on its own.  The full
-    # polygon lies inside the corner polygon, so a corner box apart from
+    # polygon lies inside the corner bounds, so a corner box apart from
     # the root is apart from every square and the plan is never compiled
     plans = []
     for i, code in enumerate(codes):
         if not is_stable(code):
             continue
         for j, asg in enumerate(all_assignments(code)):
-            outer = corner_bounding_polygon(code, asg).bbox()
+            outer = corner_box(code, asg)
             if outer is None or not _meets(root, _box(outer)):
                 continue
             poly = angle_bounding_polygon(code, asg)
@@ -930,9 +984,14 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
 
     records, failures = [], []
     max_depth_used = 0
+    level = None
     queue = deque([(root, 0, plans, None)])
     while queue:
         square, depth, allowed, hint = queue.popleft()
+        if depth != level:
+            # breadth first, so a level's squares come in one run and share
+            # one W: one kernel memo per precision serves them all
+            level, memo, retry_memo = depth, {}, {}
         if not all(square.spread(a, b, c)[1] > 0 for a, b, c in walls):
             continue
         cands = [plan for plan in allowed if _meets(square, plan[2])]
@@ -949,7 +1008,7 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
             # this exact test is what makes systems worth building
             if not _inside(square, poly.faces):
                 continue
-            cert = certify_square(system(key), square, p, cache)
+            cert = certify_square(system(key), square, p, cache, memo)
             if cert.passed:
                 break
             if cert.status == "indeterminate":
@@ -959,7 +1018,8 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
         else:
             p, cache = 2 * precision, {}
             for plan in retry:
-                cert = certify_square(system(plan[0]), square, p, cache)
+                cert = certify_square(system(plan[0]), square, p, cache,
+                                      retry_memo)
                 if cert.passed:
                     break
         if cert is not None and cert.passed:

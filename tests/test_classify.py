@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from billiardpath.classify import (
+    BoundingPolygon,
+    _corner_halfplanes,
     angle_bounding_polygon,
     canonical_unstable_line,
     classify_code,
-    corner_bounding_polygon,
+    corner_box,
     fan_angle_expansion,
     is_stable,
     line_region,
@@ -166,6 +168,12 @@ def test_solve_theta_none_without_shape():
     assert solve_theta(osno.code, asg) is None
 
 
+def corner_bounding_polygon(code, asg):
+    """Reference for ``corner_box``: the corner bounds 0 < n*angle < 180
+    clipped to a whole polygon."""
+    return BoundingPolygon(_corner_halfplanes(code, asg))
+
+
 def test_corner_polygon():
     code = CodeSequence.parse("1 2 1 6")
     asg = assign_angles(code, "Y", "Z")
@@ -178,6 +186,27 @@ def test_corner_polygon():
         (1, 0, 0),
         (1, 1, -90),    # 2z < 180: the widest corner gap spans two z angles
     ]
+    # x < 30 and x + y > 90 put y above 60
+    assert corner_box(code, asg) == poly.bbox() == (0, 60, 30, 180)
+
+
+def test_corner_box_matches_the_clipped_corner_polygon():
+    # every corpus plan, and seeded codes whose corner bounds are often
+    # empty (a + b <= c), on which the box must be None like the clip's
+    plans = [(e.code, asg) for e in load_default_corpus()
+             for asg in all_assignments(e.code)]
+    assert len(plans) == 804
+    rng = random.Random(16)
+    for _ in range(600):
+        code = CodeSequence([rng.randrange(1, 12)
+                             for _ in range(rng.choice((3, 4, 5, 6, 8)))])
+        plans += [(code, asg) for asg in all_assignments(code)]
+    empty = 0
+    for code, asg in plans:
+        want = corner_bounding_polygon(code, asg).bbox()
+        assert corner_box(code, asg) == want, (code, asg)
+        empty += want is None
+    assert empty > 100
 
 
 def test_acute_polygon():
@@ -278,8 +307,9 @@ def test_corpus_classification_matches_tags():
 
 
 def test_corpus_polygons_nonempty():
-    # every plan's polygon lies inside its corner polygon, and so does its
-    # box: ``cover`` skips a plan whose corner box misses the root square
+    # every plan's polygon lies inside its corner polygon, and its box in
+    # the corner box: ``cover`` skips a plan whose corner box misses the
+    # root square
     plans = 0
     for entry in load_default_corpus():
         for asg in all_assignments(entry.code):
@@ -290,7 +320,7 @@ def test_corpus_polygons_nonempty():
                 assert point_satisfies(corner.halfplanes, vx, vy,
                                        strict=False), (entry.code, asg)
             x0, y0, x1, y1 = poly.bbox()
-            cx0, cy0, cx1, cy1 = corner.bbox()
+            cx0, cy0, cx1, cy1 = corner_box(entry.code, asg)
             assert cx0 <= x0 and cy0 <= y0 and x1 <= cx1 and y1 <= cy1
             plans += 1
     assert plans == 804

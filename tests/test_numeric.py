@@ -163,6 +163,37 @@ def test_sin_kernel_matches_fraction_reference():
             assert (F(lo, s), F(hi, s)) == (ref.lo, ref.hi), (ang, k, p)
 
 
+def test_memoized_kernel_matches_the_plain_one():
+    # each angle a with num and den scaled by k, -a, 180 - a and a + 360,
+    # and the exact angles: one memo per denominator and precision, warm
+    # or cold, gives exactly the plain kernel's pair; every variant of a
+    # at one denominator folds onto one entry
+    rng = random.Random(16)
+    bases = [F(0), F(30), F(90), F(1, 3), F(45), F(89, 7), F(-1234567, 1000)]
+    bases += [F(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 4))
+              for _ in range(20)]
+    for p in (7, 14, 30):
+        memos = {}
+        for a in bases:
+            k = rng.randrange(2, 1000)
+            for num, den in ((a.numerator, a.denominator),
+                             (k * a.numerator, k * a.denominator)):
+                memo = memos.setdefault(den, {})
+                for shifted in (num, -num, 180 * den - num, num + 360 * den):
+                    want = sin_scaled(shifted, den, p)
+                    for _ in range(2):  # cold, then from the memo
+                        assert sin_scaled(shifted, den, p, memo) == want, \
+                            (shifted, den, p)
+        # one entry per angle and denominator
+        assert sum(map(len, memos.values())) <= 2 * len(bases)
+    for num, want in ((0, (0, 0)), (30, (5 * 10 ** 6, 5 * 10 ** 6)),
+                      (90, (10 ** 7, 10 ** 7)), (-90, (-10 ** 7, -10 ** 7)),
+                      (210, (-5 * 10 ** 6, -5 * 10 ** 6))):
+        memo = {}
+        assert sin_scaled(num, 1, 7, memo) == sin_scaled(num, 1, 7) == want
+        assert sin_scaled(num, 1, 7, memo) == want
+
+
 def test_sin_kernel_contains_mpmath_value():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):

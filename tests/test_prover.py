@@ -7,6 +7,7 @@ sample points, before being frozen here.
 """
 
 import collections
+import gc
 import hashlib
 import random
 import types
@@ -14,9 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from billiardpath import classify, geometry, prover
+from billiardpath import classify, geometry, numeric, prover
 from billiardpath.classify import (angle_bounding_polygon, classify_code,
-                                   corner_bounding_polygon)
+                                   corner_box)
 from billiardpath.corpus import load_default_corpus
 from billiardpath.geometry import (clip_polygon, polygon_area2, polygon_bbox,
                                    segment_midpoint, to_homogeneous)
@@ -140,14 +141,18 @@ def reference_certify(system, square, precision=7):
 
 def traced_cover(target, codes):
     """Run ``cover`` with counting wrappers around ``certify_square`` and
-    its two float filters; returns the result, every certify call as
+    its three float filters; returns the result, every certify call as
     (system, square, precision, certificate), and the filters' verdicts
-    counted by (filter name, verdict)."""
+    counted by (filter name, verdict).  Every witness "fail" is also put
+    to the full screen, whose verdict is counted under ("full screen on a
+    witness fail", verdict) without touching the system's witness."""
     calls, screened = [], collections.Counter()
     real_certify = prover.certify_square
+    real_center_fails = prover._center_fails
+    real_witness = prover._witness_fails
 
-    def certify(system, square, precision=7, cache=None):
-        cert = real_certify(system, square, precision, cache)
+    def certify(system, square, precision=7, cache=None, memo=None):
+        cert = real_certify(system, square, precision, cache, memo)
         calls.append((system, square, precision, cert))
         return cert
 
@@ -158,10 +163,22 @@ def traced_cover(target, codes):
             return got
         return wrapper
 
+    def witness(system, X, Y, W, precision):
+        got = real_witness(system, X, Y, W, precision)
+        screened["_witness_fails", got] += 1
+        if got:
+            kept = system.witness
+            _, values = prover._center_floats(system, X, Y, W)
+            full = real_center_fails(system, values, precision)
+            screened["full screen on a witness fail", full] += 1
+            system.witness = kept
+        return got
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prover, "certify_square", certify)
         for name in ("_center_fails", "_hopeless"):
             mp.setattr(prover, name, counting(name, getattr(prover, name)))
+        mp.setattr(prover, "_witness_fails", witness)
         result = cover(target, codes)
     return result, calls, screened
 
@@ -658,10 +675,46 @@ class TestCover:
         outcomes = collections.Counter((p, c.status, c.note)
                                        for _, _, p, c in calls)
         assert outcomes[(7, "fail", CENTER_FAILS)] == 1670
-        assert screened["_center_fails", True] == 1670
+        assert screened["_witness_fails", True] + \
+            screened["_center_fails", True] == 1670
         assert outcomes[(7, "pass", "")] == 479
         assert outcomes[(7, "indeterminate", NO_PRECISION_PASSES)] == 516
         assert not [c for c in calls if c[2] != 7]
+
+    def test_level_memo_cuts_kernel_calls(self, monkeypatch):
+        # the deep box: 5603 kernel calls with the memo withheld, at most
+        # 4600 with it, the same records either way; a level's first
+        # certify call meets an empty memo, at either precision, so the
+        # memo never outgrows one level
+        corpus = load_default_corpus()
+        codes = [corpus[i] for i in DEEP_CODES]
+        kernel_calls, real_kernel = [0], numeric._sin_folded
+
+        def kernel(*args):
+            kernel_calls[0] += 1
+            return real_kernel(*args)
+
+        real_certify, seen, share = prover.certify_square, [], [True]
+
+        def certify(system, square, precision=7, cache=None, memo=None):
+            seen.append((square.W, precision, len(memo)))
+            return real_certify(system, square, precision, cache,
+                                memo if share[0] else None)
+
+        monkeypatch.setattr(numeric, "_sin_folded", kernel)
+        monkeypatch.setattr(prover, "certify_square", certify)
+        share[0] = False
+        plain = cover(DEEP_BOX, codes)
+        assert kernel_calls == [5603]
+        kernel_calls[0], share[0], seen[:] = 0, True, []
+        res = cover(DEEP_BOX, codes)
+        assert kernel_calls[0] <= 4600
+        assert res.to_text() == plain.to_text()
+        first = {}
+        for W, precision, size in seen:
+            first.setdefault((W, precision), size)
+        assert len({W for W, _ in first}) == 7
+        assert set(first.values()) == {0}
 
     def test_retry_at_double_precision_certifies(self):
         # a square of the full strip-75-80 cover that only passes at 14
@@ -697,7 +750,7 @@ class TestCover:
         skipped = 0
         for entry in load_default_corpus():
             for asg in all_assignments(entry.code):
-                outer = corner_bounding_polygon(entry.code, asg).bbox()
+                outer = corner_box(entry.code, asg)
                 if outer is not None and _meets(root, _box(outer)):
                     continue
                 skipped += 1
@@ -955,6 +1008,59 @@ class TestFilters:
             cert, fires = gate(0, 30, 60, r)
             assert cert.note == CENTER_FAILS and not fires
 
+    def test_float_gate_covers_the_derivative_slack(self, monkeypatch):
+        # a black row 1000*sin(8x) near 8x = 90, whose x derivative nearly
+        # cancels while its weight is large, against a constant blue row K,
+        # at a half side where the derivative bump binds (r * pi/180 * 8 is
+        # about 0.95).  Every enclosure is widened to the 2 grid units the
+        # slacks allow, toward 0 below 45 degrees and away from it above,
+        # so the exact derivative bounds lie as near 0, and the black row's
+        # upper bound as high, as any kernel could put them.  Just below
+        # the K at which the integer gate turns on, the float gate must
+        # stay off; without the derivative slack it fires there.
+        hopeless = prover._hopeless
+        integer_gate_only(monkeypatch)
+        kernel = numeric._sin_folded
+
+        def widest(num, den, precision):
+            lo, hi = kernel(num, den, precision)
+            if 2 * num > 90 * den:
+                return lo, min(lo + 2, 10 ** precision)
+            return max(hi - 2, 0), hi
+
+        monkeypatch.setattr(numeric, "_sin_folded", widest)
+        polygon = types.SimpleNamespace(faces=(), is_empty=False)
+        den, r = 10 ** 12, F(68, 10)
+        black = ((("sin", 8, 0), 1000 * den),)
+
+        def gate(x, k):
+            blue = ((("cos", 0, 0), k),)
+            rows = tuple((is_black, terms, gradient_sum(terms))
+                         for is_black, terms in ((True, black), (False, blue)))
+            system = RegionSystem(None, None, "band", polygon, None, None,
+                                  (), rows, den)
+            angles, values = prover._center_floats(
+                system, *to_homogeneous((x, F(30))))
+            cert = certify_square(system, Square(x, 30, r), 7)
+            return (cert.note == NO_PRECISION_PASSES,
+                    hopeless(system, angles, values, 7,
+                             prover._rad_per_degree(7)[0] * r))
+
+        rng = random.Random(16)
+        seen = collections.Counter()
+        for _ in range(6):
+            x = (90 + F(rng.randrange(-3 * 10 ** 6, 3 * 10 ** 6), 10 ** 6)) / 8
+            lo, hi = 0, 998 * den  # unmarked, marked
+            assert not gate(x, lo)[0] and gate(x, hi)[0]
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if gate(x, mid)[0] else (mid, hi)
+            for j in range(-100, 30):
+                marked, fires = gate(x, lo - j * den // 10 ** 5)
+                seen[fires, marked] += 1
+        assert not seen[True, False]
+        assert seen[False, False] == 6 * 30 and seen[True, True] > 100, seen
+
     @pytest.mark.parametrize("x, y, r, index, margin", [
         (F(48595, 4096), F(264375, 4096), F(65, 4096), 91,
          F(47382509, 50000000000000)),
@@ -1050,6 +1156,40 @@ class TestFilters:
             for precision in (7, 14, 30):
                 lo, hi = sin_scaled(num, den, precision)
                 assert 0 <= hi - lo <= 2, (num, den, precision)
+
+    @pytest.mark.parametrize("run", ["deep_run", "thin_run"])
+    def test_witness_fails_only_where_the_full_screen_fails(self, run,
+                                                            request):
+        _, _, screened = request.getfixturevalue(run)
+        decided = screened["_witness_fails", True]
+        assert decided > 0
+        assert screened["full screen on a witness fail", True] == decided
+        assert not screened["full screen on a witness fail", False]
+
+    def test_witness_decides_most_center_fails(self, thin_run):
+        # of the thin cover's 1670 center fails, the remembered pair of
+        # rows decides all but a few; the full screen decides the rest
+        _, _, screened = thin_run
+        assert screened["_witness_fails", True] >= 1600
+
+    def test_rebuilt_system_starts_without_witness(self, deep_run):
+        # the witness lives on the system, not in a table keyed by id(),
+        # so a system built again after the first was collected (and may
+        # reuse its address) starts with none
+        _, calls, _ = deep_run
+        code, asg, square = next((system.code, system.asg, square)
+                                 for system, square, _, cert in calls
+                                 if cert.note == CENTER_FAILS)
+        system = region_system(code, asg)
+        assert system.witness is None
+        assert certify_square(system, square).note == CENTER_FAILS
+        assert system.witness is not None
+        del system
+        gc.collect()
+        rebuilt = region_system(code, asg)
+        assert rebuilt.witness is None
+        assert certify_square(rebuilt, square).note == CENTER_FAILS
+        assert rebuilt.witness is not None
 
     def test_line_system_takes_no_shared_cache(self, repeat_zx):
         with pytest.raises(ValueError, match="cache"):
