@@ -22,22 +22,13 @@ from .geometry import (
     to_point,
 )
 from .numeric import AffineForm
-from .sequences import AngleAssignment, CodeSequence, assign_angles, \
-    symbol_value
+from .sequences import SYMBOL_FORMS, AngleAssignment, CodeSequence, \
+    assign_angles, symbol_value
 
 CODE_TYPES = ("CS", "CNS", "OSO", "ONS", "OSNO")
 
 _ASSIGNMENT_ORDER = (("X", "Y"), ("X", "Z"), ("Y", "X"), ("Y", "Z"),
                      ("Z", "X"), ("Z", "Y"))
-
-
-def _integer_form(symbol: str):
-    """A symbol's angle as integers (ax, ay, c): ax*x + ay*y + c*90."""
-    w = symbol_value(symbol)
-    return int(w.ax), int(w.ay), int(w.c)
-
-
-_SYMBOL_FORMS = {s: _integer_form(s) for s in "XYZ"}
 
 
 def stability_defect(code: CodeSequence, asg: AngleAssignment):
@@ -104,7 +95,7 @@ def shooting_angle_sequence(code: CodeSequence, asg: AngleAssignment):
     """
     phis = [(0, 0, 0, 1)]
     for i in range(len(code) - 1):
-        wx, wy, wc = _SYMBOL_FORMS[asg.symbol(i + 1)]
+        wx, wy, wc = SYMBOL_FORMS[asg.symbol(i + 1)]
         n = code.codes[i]
         ax, ay, c, t = phis[-1]
         phis.append((-ax - n * wx, -ay - n * wy, 2 - c - n * wc, -t))
@@ -123,7 +114,7 @@ def fan_angle_expansion(code: CodeSequence, asg: AngleAssignment):
     phis = shooting_angle_sequence(code, asg)
     out = []
     for i, n in enumerate(code.codes):
-        wx, wy, wc = _SYMBOL_FORMS[asg.symbol(i + 1)]
+        wx, wy, wc = SYMBOL_FORMS[asg.symbol(i + 1)]
         ax, ay, c, t = phis[i]
         half = n // 2
         rise_top = half if n % 2 else half - 1
@@ -306,7 +297,7 @@ def _corner_halfplanes(code: CodeSequence, asg: AngleAssignment):
     """0 < n*angle < 180 from the largest fan n at each symbol."""
     out = []
     for s, n in sorted(_largest_fans(code, asg).items()):
-        wx, wy, wc = _SYMBOL_FORMS[s]
+        wx, wy, wc = SYMBOL_FORMS[s]
         out += _between(n * wx, n * wy, n * wc * 90)
     return out
 

@@ -21,8 +21,9 @@ and ``TrigPoly.eval`` builds one ``Interval`` at the end.
 
 A ``TrigPoly`` keeps its coefficients as integers over one common
 denominator in lowest terms.  Product-to-sum rewriting halves and
-``simplify`` doubles, so the towers' sums only ever meet powers of two,
-and sums and products run on ``int``; ``terms`` gives the exact rationals.
+``simplify`` doubles, so the towers' sums only ever meet powers of two;
+sums, products and ``simplify``'s expansion run on ``int`` by one
+product-to-sum rule, and ``terms`` gives the exact rationals.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class Interval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo = lo if type(lo) is Fraction else Fraction(lo)
+        hi = hi if type(hi) is Fraction else Fraction(hi)
         if lo > hi:
             raise ValueError(f"inverted interval [{lo}, {hi}]")
         self.lo = lo
@@ -312,19 +314,6 @@ class AffineForm:
     def const(cls, degrees) -> "AffineForm":
         return cls(0, 0, Fraction(degrees) / 90, 0)
 
-    @classmethod
-    def var_x(cls) -> "AffineForm":
-        return cls(1, 0, 0, 0)
-
-    @classmethod
-    def var_y(cls) -> "AffineForm":
-        return cls(0, 1, 0, 0)
-
-    @classmethod
-    def var_z(cls) -> "AffineForm":
-        # third triangle angle, 180 - x - y
-        return cls(-1, -1, 2, 0)
-
     def __add__(self, other):
         o = other if isinstance(other, AffineForm) else AffineForm.const(other)
         return AffineForm(self.ax + o.ax, self.ay + o.ay, self.c + o.c,
@@ -413,6 +402,26 @@ def _canon_atom(kind: str, m: int, n: int, q: int):
     return sign, (kind, m, n)
 
 
+def _product_to_sum(out: dict, k1, m1, n1, k2, m2, n2, c: int):
+    """Add c * 2 * k1(m1*x + n1*y) * k2(m2*x + n2*y), rewritten as two
+    atoms, into the integer coefficients ``out``; a sum that cancels
+    leaves its key."""
+    sm, sn, dm, dn = m1 + m2, n1 + n2, m1 - m2, n1 - n2
+    if k1 == k2:
+        kind, pairs = "cos", ((dm, dn, c), (sm, sn, c if k1 == "cos" else -c))
+    else:
+        kind, pairs = "sin", ((sm, sn, c), (dm, dn, c if k1 == "sin" else -c))
+    for m, n, v in pairs:
+        sign, key = _canon_atom(kind, m, n, 0)
+        if key is None:
+            continue
+        v = sign * v + out.get(key, 0)
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
+
 class TrigPoly:
     """Finite sum  sum of u * sin(m*x + n*y)  and  v * cos(m*x + n*y).
 
@@ -479,10 +488,6 @@ class TrigPoly:
             raise ValueError(f"non-integral trig argument {form!r}")
         return cls.atom(kind, int(m), int(n), int(q), coeff)
 
-    @classmethod
-    def constant(cls, c) -> "TrigPoly":
-        return cls.atom("cos", 0, 0, 0, c)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -520,49 +525,12 @@ class TrigPoly:
         # each product-to-sum term carries c1*c2/2: numerators c1*c2 over
         # the doubled product of the denominators
         out: dict[tuple[str, int, int], int] = {}
-
-        def put(kind, m, n, c):
-            sign, key = _canon_atom(kind, m, n, 0)
-            if key is None:
-                return
-            s = out.get(key, 0) + sign * c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-
         for (k1, m1, n1), c1 in self.coeffs.items():
             for (k2, m2, n2), c2 in other.coeffs.items():
-                c = c1 * c2
-                sm, sn = m1 + m2, n1 + n2
-                dm, dn = m1 - m2, n1 - n2
-                if k1 == "sin" and k2 == "sin":
-                    put("cos", dm, dn, c)
-                    put("cos", sm, sn, -c)
-                elif k1 == "cos" and k2 == "cos":
-                    put("cos", dm, dn, c)
-                    put("cos", sm, sn, c)
-                elif k1 == "sin":
-                    put("sin", sm, sn, c)
-                    put("sin", dm, dn, c)
-                else:
-                    put("sin", sm, sn, c)
-                    put("sin", dm, dn, -c)
+                _product_to_sum(out, k1, m1, n1, k2, m2, n2, c1 * c2)
         return TrigPoly._of(out, 2 * self.den * other.den)
 
     __rmul__ = __mul__
-
-    def substitute_line(self, s, t) -> "TrigPoly":
-        """Replace y by s*x + t*90; s and t must keep arguments integral."""
-        s, t = Fraction(s), Fraction(t)
-        out = TrigPoly()
-        for (kind, m, n), c in self.terms.items():
-            mm = Fraction(m) + n * s
-            qq = n * t
-            if mm.denominator != 1 or qq.denominator != 1:
-                raise ValueError("substitution leaves the integer lattice")
-            out = out + TrigPoly.atom(kind, int(mm), 0, int(qq), c)
-        return out
 
     def eval(self, x, y, precision: int = MIN_PRECISION,
              cache: dict | None = None) -> Interval:
@@ -672,15 +640,42 @@ def simplify(products) -> TrigPoly:
     """Expand a sum of coefficient-and-atoms products into a TrigPoly.
 
     ``products`` is an iterable of (coeff, atoms) pairs where each atom is a
-    (kind, m, n, q) tuple meaning kind(m*x + n*y + q*90).  Product-to-sum
-    rewriting and quarter-turn folding happen along the way, and every
-    product is doubled so that two-factor products with integer
-    coefficients come out with integer coefficients.
+    (kind, m, n, q) tuple meaning kind(m*x + n*y + q*90).  Every product is
+    doubled so that two-factor products with integer coefficients come out
+    with integer coefficients.  The expansion runs on integers: the folded
+    first atom scales the doubled numerator, each further atom goes through
+    product-to-sum and doubles the denominator, and the products add up
+    over one common denominator.  Coefficients are read as integer ratios.
     """
-    total = TrigPoly()
+    total: dict = {}
+    den = 1
     for coeff, atoms in products:
-        poly = TrigPoly.constant(2 * coeff)
-        for kind, m, n, q in atoms:
-            poly = poly * TrigPoly.atom(kind, m, n, q)
-        total = total + poly
-    return total
+        num, tden = coeff.as_integer_ratio()
+        if not num:
+            continue
+        term = {("cos", 0, 0): 2 * num}
+        for i, (kind, m, n, q) in enumerate(atoms):
+            sign, key = _canon_atom(kind, m, n, q)
+            if key is None:
+                term = {}
+                break
+            if not i:  # cos(0) times an atom is the atom
+                term = {key: sign * 2 * num}
+                continue
+            out: dict = {}
+            for (k1, m1, n1), c in term.items():
+                _product_to_sum(out, k1, m1, n1, *key, sign * c)
+            term = out
+            tden *= 2
+        common = lcm(den, tden)
+        if common != den:
+            total = {key: c * (common // den) for key, c in total.items()}
+            den = common
+        k = common // tden
+        for key, c in term.items():
+            c = c * k + total.get(key, 0)
+            if c:
+                total[key] = c
+            else:
+                total.pop(key, None)
+    return TrigPoly._of(total, den)

@@ -456,16 +456,16 @@ def all_assignments(code: CodeSequence) -> list:
     return out
 
 
+# each symbol's angle as integers (ax, ay, q): ax*x + ay*y + q*90 degrees
+SYMBOL_FORMS = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (-1, -1, 2)}
+
+
 def symbol_value(symbol: str):
     """Angle value of a symbol as an affine form in (x, y)."""
     from .numeric import AffineForm
-    if symbol == "X":
-        return AffineForm.var_x()
-    if symbol == "Y":
-        return AffineForm.var_y()
-    if symbol == "Z":
-        return AffineForm.var_z()
-    raise ValueError(f"unknown angle symbol {symbol!r}")
+    if symbol not in SYMBOL_FORMS:
+        raise ValueError(f"unknown angle symbol {symbol!r}")
+    return AffineForm(*SYMBOL_FORMS[symbol])
 
 
 def symbol_degrees(symbol: str, x, y) -> Fraction:

@@ -12,7 +12,10 @@ doubled so all coefficients are integers, and only evaluated to intervals
 at a concrete (x, y).  The build is linear in the code's length: each
 chain center is the previous center plus one simplified product, each arc
 point its fan's center plus one, and a turning score is its base point's
-score plus the product of that one step with the shooting vector.
+score plus the product of that one step with the shooting vector.  Angles
+are the integer triples (ax, ay, q) of ``SYMBOL_FORMS``, for ax*x + ay*y +
+q*90 degrees, passed to ``simplify`` as atoms.  ``Tower.score`` forms
+d*px - c*py from the integer ends that ``sum_bounds`` gives.
 """
 
 from __future__ import annotations
@@ -22,19 +25,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .classify import palindromic_pivots, solve_theta
-from .numeric import (
-    MIN_PRECISION,
-    AffineForm,
-    Interval,
-    TrigPoly,
-    simplify,
-)
+from .geometry import to_homogeneous
+from .numeric import MIN_PRECISION, Interval, TrigPoly, simplify, sum_bounds
 from .sequences import (
+    SYMBOL_FORMS,
     AngleAssignment,
     CodeSequence,
     assign_angles,
     symbol_degrees,
-    symbol_value,
     third_symbol,
 )
 
@@ -56,12 +54,7 @@ BLACK = "black"
 
 
 def _sin_atom(letter: str):
-    form = symbol_value(letter)
-    return ("sin", int(form.ax), int(form.ay), int(form.c))
-
-
-def _angle_atom(kind: str, form):
-    return (kind, int(form.ax), int(form.ay), int(form.c))
+    return ("sin",) + SYMBOL_FORMS[letter]
 
 
 class TowerPoint:
@@ -112,8 +105,8 @@ class Fan:
 class SymbolicTower:
     """Tower geometry of one code and assignment, independent of (x, y).
 
-    Immutable once built, apart from the memo of turning scores, and
-    cached per (code numbers, seed letters).
+    Immutable once built, apart from the memos of turning scores and of
+    the pruned key points, and cached per (code numbers, seed letters).
     """
 
     def __init__(self, code: CodeSequence, asg: AngleAssignment):
@@ -127,6 +120,7 @@ class SymbolicTower:
         self.code = code
         self.asg = asg
         self._scores: dict = {}
+        self._pruned = None
         # point id -> (base point, px - base.px, py - base.py)
         self._steps: dict = {}
         self._build()
@@ -143,12 +137,13 @@ class SymbolicTower:
         n = len(codes)
         letter = self._letter
 
-        values = {i: symbol_value(letter(i)) for i in range(0, n + 2)}
+        values = [SYMBOL_FORMS[letter(i)] for i in range(0, n + 2)]
         # T_m: alternating partial sums of the fan openings
-        t_forms = [AffineForm()]
+        t_forms = [(0, 0, 0)]
         for m in range(1, n + 2):
-            a_m = values[m] * codes[(m - 1) % n]
-            t_forms.append(a_m - t_forms[m - 1])
+            (vx, vy, vq), k = values[m], codes[(m - 1) % n]
+            tx, ty, tq = t_forms[m - 1]
+            t_forms.append((k * vx - tx, k * vy - ty, k * vq - tq))
 
         # each center adds one chain product onto the previous center, so
         # a code of length n expands O(n) products, not O(n^2)
@@ -159,8 +154,8 @@ class SymbolicTower:
             u_atom = _sin_atom(third_symbol(letter(m - 1), letter(m)))
             t_prev = t_forms[m - 1]
             sign = 1 if m % 2 == 0 else -1
-            dpx = simplify([(sign, [u_atom, _angle_atom("cos", t_prev)])])
-            dpy = simplify([(1, [u_atom, _angle_atom("sin", t_prev)])])
+            dpx = simplify([(sign, [u_atom, ("cos",) + t_prev])])
+            dpy = simplify([(1, [u_atom, ("sin",) + t_prev])])
             prev = centers[-1]
             centers.append(self._point(prev.px + dpx, prev.py + dpy, m + 1))
             self._steps[id(centers[-1])] = (prev, dpx, dpy)
@@ -170,21 +165,23 @@ class SymbolicTower:
         for i in range(1, n + 1):
             m = i + 1
             count = codes[i - 1]
-            v = values[i]
+            vx, vy, vq = values[i]
             prev = letter(i - 1)
             radius_even = _sin_atom(third_symbol(letter(i), prev))
             radius_odd = _sin_atom(prev)
+            tx, ty, tq = t_forms[m - 2]
             if m % 2 == 0:
-                delta, sigma = -t_forms[m - 2], 1
+                dx, dy, dq, sigma = -tx, -ty, -tq, 1
             else:
-                delta, sigma = AffineForm.const(180) + t_forms[m - 2], -1
+                dx, dy, dq, sigma = tx, ty, tq + 2, -1
             center = centers[m - 1]
             arc = [centers[i - 1]]
             for j in range(1, count):
-                ang = delta + v * (sigma * j)
+                k = sigma * j
+                ang = (dx + k * vx, dy + k * vy, dq + k * vq)
                 radius = radius_even if j % 2 == 0 else radius_odd
-                dpx = simplify([(1, [radius, _angle_atom("cos", ang)])])
-                dpy = simplify([(1, [radius, _angle_atom("sin", ang)])])
+                dpx = simplify([(1, [radius, ("cos",) + ang])])
+                dpy = simplify([(1, [radius, ("sin",) + ang])])
                 color = BLACK if m % 2 == 0 else BLUE
                 arc.append(TowerPoint(center.px + dpx, center.py + dpy,
                                       color, (m, j)))
@@ -294,6 +291,7 @@ class Tower:
         self.x = x
         self.y = y
         self.precision = precision
+        self._hom = to_homogeneous((x, y))
         self._cache: dict = {}
         self._located: dict = {}
         self._w = None
@@ -315,21 +313,40 @@ class Tower:
             self._located[id(point)] = got
         return got
 
-    def shooting_vector(self):
-        """Interval components (c, d); raises when both enclose zero."""
+    def _ends(self, poly: TrigPoly):
+        """(lo, hi, den): the sum lies in [lo, hi] / (den * 10^precision)."""
+        X, Y, W = self._hom
+        lo, hi = sum_bounds(poly.coeffs.items(), X, Y, W, self.precision,
+                            self._cache)
+        return lo, hi, poly.den
+
+    def _shooting_ends(self):
+        """``_ends`` of (c, d); raises when both enclose zero."""
         if self._w is None:
-            c, d = self.sym.shooting
-            civ = c.eval(self.x, self.y, self.precision, self._cache)
-            div = d.eval(self.x, self.y, self.precision, self._cache)
-            if 0 in civ and 0 in div:
+            c, d = (self._ends(poly) for poly in self.sym.shooting)
+            if c[0] <= 0 <= c[1] and d[0] <= 0 <= d[1]:
                 raise PrecisionError("shooting vector encloses (0, 0)")
-            self._w = (civ, div)
+            self._w = (c, d)
         return self._w
 
+    def shooting_vector(self):
+        """Interval components (c, d); raises when both enclose zero."""
+        s = 10 ** self.precision
+        return tuple(Interval(Fraction(lo, den * s), Fraction(hi, den * s))
+                     for lo, hi, den in self._shooting_ends())
+
     def score(self, point: TowerPoint) -> Interval:
-        civ, div = self.shooting_vector()
-        pxv, pyv = self.locate(point)
-        return div * pxv - civ * pyv
+        """d*px - c*py by the interval product rule on the integer ends,
+        over the product of their denominators."""
+        (clo, chi, cden), (dlo, dhi, dden) = self._shooting_ends()
+        alo, ahi, aden = self._ends(point.px)
+        blo, bhi, bden = self._ends(point.py)
+        ps = (dlo * alo, dlo * ahi, dhi * alo, dhi * ahi)
+        qs = (clo * blo, clo * bhi, chi * blo, chi * bhi)
+        da, cb = dden * aden, cden * bden
+        den = da * cb * 10 ** (2 * self.precision)
+        return Interval(Fraction(min(ps) * cb - max(qs) * da, den),
+                        Fraction(max(ps) * cb - min(qs) * da, den))
 
     def fan_angles_below_180(self) -> bool:
         return all(f.central_degrees(self.x, self.y) < 180
@@ -402,20 +419,6 @@ def test_I(tower: Tower) -> Verdict:
     return _judge(tower, tower.sym.points)
 
 
-def _parallel_pruned(sym: SymbolicTower, points):
-    """Keep one representative of each group whose displacement is exactly
-    parallel to the shooting vector; such points score identically."""
-    groups = {}
-    out = []
-    for p in points:
-        key = (p.color, sym.score_poly(p))
-        if key in groups:
-            continue
-        groups[key] = p
-        out.append(p)
-    return out
-
-
 def key_points(sym: SymbolicTower):
     """Per-fan extremal arc points, plus the base corner, minus the two
     topmost points whose scores repeat the base corners'."""
@@ -431,9 +434,20 @@ def key_points(sym: SymbolicTower):
     return out
 
 
-def pruned_key_points(sym: SymbolicTower):
-    """Key points with the exactly-parallel duplicates removed."""
-    return _parallel_pruned(sym, key_points(sym))
+def pruned_key_points(sym: SymbolicTower) -> tuple:
+    """Key points minus those whose displacement from a kept one of their
+    color is exactly parallel to the shooting vector (equal scores);
+    computed once per tower, so precision escalations skip the hashing."""
+    if sym._pruned is None:
+        groups = set()
+        out = []
+        for p in key_points(sym):
+            key = (p.color, sym.score_poly(p))
+            if key not in groups:
+                groups.add(key)
+                out.append(p)
+        sym._pruned = tuple(out)
+    return sym._pruned
 
 
 def test_II(tower: Tower) -> Verdict:
@@ -459,7 +473,7 @@ def test_III(tower: Tower) -> Verdict:
     lo = min(r.lo for r in rails)
     hi = max(r.hi for r in rails)
     chosen = []
-    for p in _parallel_pruned(sym, key_points(sym)):
+    for p in pruned_key_points(sym):
         o = offset(p)
         if o.hi < lo or o.lo > hi:
             continue  # certainly outside the rails

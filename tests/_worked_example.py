@@ -2,8 +2,27 @@
 
 Terms are (coeff, kind, m, n) for coeff * kind(m*x + n*y) in degrees.
 The reference sums fold one chain step through the y = x identity, so
-they match the fully symbolic columns only after substituting y = x.
+they match the fully symbolic columns only after substituting y = x,
+which ``substitute_line`` does.
 """
+
+from fractions import Fraction
+
+from billiardpath.numeric import TrigPoly
+
+
+def substitute_line(poly, s, t):
+    """Replace y by s*x + t*90 in a TrigPoly; s and t must keep every
+    argument integral."""
+    s, t = Fraction(s), Fraction(t)
+    out = TrigPoly()
+    for (kind, m, n), c in poly.terms.items():
+        mm = m + n * s
+        qq = n * t
+        if mm.denominator != 1 or qq.denominator != 1:
+            raise ValueError("substitution leaves the integer lattice")
+        out = out + TrigPoly.atom(kind, int(mm), 0, int(qq), c)
+    return out
 
 WORKED_CODES = [1, 1, 2, 3, 3, 2]
 WORKED_FIRST, WORKED_SECOND = "X", "Y"

@@ -16,7 +16,7 @@ import random
 import time
 from fractions import Fraction
 
-from _worked_example import C_REFERENCE, D_REFERENCE
+from _worked_example import C_REFERENCE, D_REFERENCE, substitute_line
 from billiardpath.classify import (angle_bounding_polygon,
                                    canonical_unstable_line, classify_code,
                                    reduce_on_line, solve_theta)
@@ -156,8 +156,8 @@ def test_06_worked_shooting_vector_matches_reference_sums():
     cr, dr = _poly_of(C_REFERENCE), _poly_of(D_REFERENCE)
     assert len(cr.terms) == 9 and len(dr.terms) == 8
     # the reference sums fold one step through y = x, so compare there
-    assert c.substitute_line(1, 0).terms == cr.substitute_line(1, 0).terms
-    assert d.substitute_line(1, 0).terms == dr.substitute_line(1, 0).terms
+    assert substitute_line(c, 1, 0).terms == substitute_line(cr, 1, 0).terms
+    assert substitute_line(d, 1, 0).terms == substitute_line(dr, 1, 0).terms
 
 
 def test_07_strip_cover_terminates_complete():

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from _worked_example import substitute_line
 from billiardpath.numeric import (
-    AffineForm,
     Interval,
     TrigPoly,
     _GUARD,
@@ -21,6 +21,7 @@ from billiardpath.numeric import (
     simplify,
     sin_scaled,
 )
+from billiardpath.sequences import symbol_value
 
 
 def test_interval_ring_ops():
@@ -297,27 +298,27 @@ def test_gradient_bound_is_sound():
 
 def test_product_to_sum_round_trip():
     u = (TrigPoly.atom("cos", 1, 0, 0, 3) + TrigPoly.atom("sin", 0, 2)
-         + TrigPoly.constant(F(5, 2)))
+         + TrigPoly.atom("cos", 0, 0, 0, F(5, 2)))
     prod = TrigPoly.atom("sin", 1, -1) * u
     q = prod.divide_by_atom("sin", 1, -1)
     assert q is not None and q.terms == u.terms
 
 
 def test_divide_by_atom_rejects_non_multiple():
-    u = TrigPoly.atom("cos", 2, 1) + TrigPoly.constant(1)
+    u = TrigPoly.atom("cos", 2, 1) + TrigPoly.atom("cos", 0, 0)
     f = TrigPoly.atom("sin", 1, -1) * u + TrigPoly.atom("cos", 3, 2)
     assert f.divide_by_atom("sin", 1, -1) is None
 
 
 def test_substitute_line():
     h = TrigPoly.atom("sin", 2, 7) - TrigPoly.atom("sin", 0, 5)
-    assert h.substitute_line(1, 0).terms == {("sin", 9, 0): F(1),
-                                             ("sin", 5, 0): F(-1)}
+    assert substitute_line(h, 1, 0).terms == {("sin", 9, 0): F(1),
+                                              ("sin", 5, 0): F(-1)}
     # y = x + 90 turns sin(x+y) into cos(2x)
-    assert TrigPoly.atom("sin", 1, 1).substitute_line(1, 1).terms == \
+    assert substitute_line(TrigPoly.atom("sin", 1, 1), 1, 1).terms == \
         {("cos", 2, 0): F(1)}
     with pytest.raises(ValueError):
-        TrigPoly.atom("sin", 1, 1).substitute_line(F(1, 2), 0)
+        substitute_line(TrigPoly.atom("sin", 1, 1), F(1, 2), 0)
 
 
 # --- integer coefficients against the Fraction rule ---------------------
@@ -421,28 +422,57 @@ def test_integer_coefficients_match_fraction_rule():
             assert a.eval(x, y, p, cache) == reference_eval(ra, x, y, p)
 
 
+def reference_simplify(products):
+    """``simplify`` by the Fraction rule: each doubled coefficient times
+    the folded atoms, multiplied out by ``reference_mul``."""
+    want = {}
+    for coeff, atoms in products:
+        term = {("cos", 0, 0): 2 * F(coeff)} if coeff else {}
+        for kind, m, n, q in atoms:
+            sign, key = _canon_atom(kind, m, n, q)
+            term = reference_mul(term, {key: F(sign)}) if key else {}
+        want = reference_add(want, term)
+    return want
+
+
+def random_atoms(rng, count):
+    return [(rng.choice(("sin", "cos")), rng.randrange(-4, 5),
+             rng.randrange(-4, 5), rng.randrange(-2, 3))
+            for _ in range(count)]
+
+
 def test_simplify_matches_fraction_rule():
     rng = random.Random(314)
     for _ in range(200):
-        products = []
-        want = {}
-        for _ in range(rng.randrange(0, 4)):
-            coeff = random_coeff(rng)
-            atoms = [(rng.choice(("sin", "cos")), rng.randrange(-4, 5),
-                      rng.randrange(-4, 5), rng.randrange(-2, 3))
-                     for _ in range(rng.randrange(0, 4))]
-            products.append((coeff, atoms))
-            term = {("cos", 0, 0): 2 * coeff} if coeff else {}
-            for kind, m, n, q in atoms:
-                sign, key = _canon_atom(kind, m, n, q)
-                term = reference_mul(term, {key: F(sign)}) if key else {}
-            want = reference_add(want, term)
+        products = [(random_coeff(rng), random_atoms(rng, rng.randrange(0, 4)))
+                    for _ in range(rng.randrange(0, 4))]
         got = simplify(products)
         assert_canonical(got)
-        assert got.terms == want
+        assert got.terms == reference_simplify(products)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_simplify_matches_fraction_rule_per_atom_count(count):
+    # integer coefficients, as the towers pass them, and Fractions; the
+    # second atom of a pair often repeats the first's argument, so sums
+    # cancel and sin(0) drops out
+    rng = random.Random(count)
+    for _ in range(150):
+        products = []
+        for _ in range(rng.randrange(1, 4)):
+            atoms = random_atoms(rng, count)
+            if count > 1 and rng.randrange(2):
+                kind, m, n, q = atoms[0]
+                atoms[1] = (rng.choice(("sin", "cos")), m, n,
+                            rng.randrange(-2, 3))
+            coeff = rng.choice((rng.randrange(-3, 4), random_coeff(rng)))
+            products.append((coeff, atoms))
+        got = simplify(products)
+        assert_canonical(got)
+        assert got.terms == reference_simplify(products)
 
 
 def test_affine_z_identity():
-    z = AffineForm.var_z()
+    z = symbol_value("Z")
     assert z.eval(40, 60) == 80
-    assert (AffineForm.var_x() + AffineForm.var_y() + z).eval(11, 22) == 180
+    assert (symbol_value("X") + symbol_value("Y") + z).eval(11, 22) == 180

@@ -10,9 +10,10 @@ from billiardpath.corpus import load_default_corpus
 from billiardpath.numeric import AffineForm, TrigPoly, simplify
 from billiardpath.sequences import (CodeSequence, all_assignments,
                                     assign_angles, symbol_value, third_symbol)
-from billiardpath.tower import (FanAngleError, ShapeError, SymbolicTower,
-                                convex_hull_separation, key_points,
-                                pruned_key_points, symbolic_tower, unfold)
+from billiardpath.tower import (FanAngleError, PrecisionError, ShapeError,
+                                SymbolicTower, convex_hull_separation,
+                                key_points, pruned_key_points,
+                                symbolic_tower, unfold)
 from billiardpath.tower import test_I as band_test
 from billiardpath.tower import test_II as pruned_band_test
 from billiardpath.tower import test_III as shape_test
@@ -20,7 +21,7 @@ from billiardpath.tower import test_III as shape_test
 from _worked_example import (C_ON_AXIS, C_REFERENCE, CHAIN_STEPS, D_ON_AXIS,
                              D_REFERENCE, G_C_REFERENCE, G_D_REFERENCE,
                              WORKED_CODES, WORKED_FIRST, WORKED_LETTERS,
-                             WORKED_SECOND)
+                             WORKED_SECOND, substitute_line)
 
 
 def poly_of(terms):
@@ -84,10 +85,9 @@ class TestWorkedExample:
     def test_reference_sums_agree_on_axis(self):
         c, d = self.sym.shooting
         cr, dr = poly_of(C_REFERENCE), poly_of(D_REFERENCE)
-        assert c.substitute_line(1, 0).terms == cr.substitute_line(1, 0).terms
-        assert d.substitute_line(1, 0).terms == dr.substitute_line(1, 0).terms
-        assert c.substitute_line(1, 0).terms == poly_of(C_ON_AXIS).terms
-        assert d.substitute_line(1, 0).terms == poly_of(D_ON_AXIS).terms
+        on_axis = [substitute_line(p, 1, 0).terms for p in (c, d, cr, dr)]
+        assert on_axis[0] == on_axis[2] == poly_of(C_ON_AXIS).terms
+        assert on_axis[1] == on_axis[3] == poly_of(D_ON_AXIS).terms
 
     def test_reference_sums_differ_off_axis(self):
         # the published horizontal sum folded one step through y = x, so
@@ -348,33 +348,69 @@ class TestHullSeparation:
 
 # --- linear-time build ------------------------------------------------
 
+def reference_turns(sym):
+    """T_0 .. T_{n+1}, the alternating partial sums of the fan openings, as
+    ``AffineForm``s, the way the builder carried them before integer
+    triples."""
+    codes = sym.code.codes
+    n = len(codes)
+    t_forms = [AffineForm()]
+    for m in range(1, n + 2):
+        t_forms.append(symbol_value(sym._letter(m)) * codes[(m - 1) % n]
+                       - t_forms[m - 1])
+    return t_forms
+
+
+def form_atom(kind, form):
+    return (kind, int(form.ax), int(form.ay), int(form.c))
+
+
 def reference_centers(sym):
     """(px, py) of every chain center from the cumulative-product builder
     the linear one replaced: center m re-expands all m chain products."""
-    codes = sym.code.codes
-    n = len(codes)
+    n = len(sym.code.codes)
     letter = sym._letter
-
-    def atom(kind, form):
-        return (kind, int(form.ax), int(form.ay), int(form.c))
-
-    t_forms = [AffineForm()]
-    for m in range(1, n + 2):
-        t_forms.append(symbol_value(letter(m)) * codes[(m - 1) % n]
-                       - t_forms[m - 1])
-    px_products = [(1, [atom("sin", symbol_value(
+    t_forms = reference_turns(sym)
+    px_products = [(1, [form_atom("sin", symbol_value(
         third_symbol(letter(0), letter(1))))])]
     py_products = []
     out = [(simplify(px_products), simplify(py_products))]
     for m in range(1, n + 2):
-        u_atom = atom("sin", symbol_value(third_symbol(letter(m - 1),
-                                                       letter(m))))
+        u_atom = form_atom("sin", symbol_value(third_symbol(letter(m - 1),
+                                                            letter(m))))
         sign = 1 if m % 2 == 0 else -1
         px_products = px_products + \
-            [(sign, [u_atom, atom("cos", t_forms[m - 1])])]
+            [(sign, [u_atom, form_atom("cos", t_forms[m - 1])])]
         py_products = py_products + \
-            [(1, [u_atom, atom("sin", t_forms[m - 1])])]
+            [(1, [u_atom, form_atom("sin", t_forms[m - 1])])]
         out.append((simplify(px_products), simplify(py_products)))
+    return out
+
+
+def reference_arc_points(sym):
+    """(px, py) of every arc interior point, fan by fan: its center plus
+    one simplified product, with the arc angle an ``AffineForm``."""
+    codes = sym.code.codes
+    letter = sym._letter
+    t_forms = reference_turns(sym)
+    out = []
+    for i in range(1, len(codes) + 1):
+        m = i + 1
+        v = symbol_value(letter(i))
+        prev = letter(i - 1)
+        radii = (form_atom("sin", symbol_value(third_symbol(letter(i), prev))),
+                 form_atom("sin", symbol_value(prev)))
+        if m % 2 == 0:
+            delta, sigma = -t_forms[m - 2], 1
+        else:
+            delta, sigma = AffineForm.const(180) + t_forms[m - 2], -1
+        center = sym.centers[m - 1]
+        for j in range(1, codes[i - 1]):
+            ang = delta + v * (sigma * j)
+            radius = radii[j % 2]
+            out.append(
+                (center.px + simplify([(1, [radius, form_atom("cos", ang)])]),
+                 center.py + simplify([(1, [radius, form_atom("sin", ang)])])))
     return out
 
 
@@ -432,6 +468,22 @@ class TestLinearBuild:
                 assert p.px.terms == px.terms and p.py.terms == py.terms
                 assert p.px == px and p.py == py
 
+    def test_arc_points_match_affine_reference(self):
+        corpus = load_default_corpus()
+        longest = max(corpus, key=lambda e: len(e.code.codes))
+        worked = CodeSequence(WORKED_CODES)
+        plans = [(worked, assign_angles(worked, WORKED_FIRST, WORKED_SECOND)),
+                 (longest.code, all_assignments(longest.code)[0])]
+        plans += [(corpus[56].code, asg)
+                  for asg in all_assignments(corpus[56].code)]
+        for code, asg in plans:
+            sym = SymbolicTower(code, asg)
+            arcs = [p for fan in sym.fans for p in fan.arc[1:-1]]
+            ref = reference_arc_points(sym)
+            assert len(arcs) == len(ref) > 0
+            for p, (px, py) in zip(arcs, ref):
+                assert p.px == px and p.py == py
+
     def test_scores_match_direct_products(self):
         for codes, first, second in [([1, 1, 1], "X", "Y"),
                                      ([1, 2, 1, 2], "Z", "X"),
@@ -442,3 +494,125 @@ class TestLinearBuild:
             c, d = sym.shooting
             for p in reversed(sym.points):
                 assert sym.score_poly(p) == d * p.px - c * p.py
+
+
+# --- exact band verdicts ----------------------------------------------
+
+def seeded_point(vertices, rng, near):
+    """A weighted average of polygon vertices with integer weights in
+    [1, 63]; ``near`` multiplies one weight by 10^5, which pulls the point
+    next to that vertex, where margins are thin."""
+    ws = [rng.randrange(1, 64) for _ in vertices]
+    if near:
+        ws[rng.randrange(len(ws))] *= 10 ** 5
+    tot = sum(ws)
+    return (sum(w * Fraction(v[0]) for w, v in zip(ws, vertices)) / tot,
+            sum(w * Fraction(v[1]) for w, v in zip(ws, vertices)) / tot)
+
+
+def verdict_digest_lines():
+    """Status, exact margin and point counts of the three band tests (or
+    the name of what they raise) at two seeded triangles of the first two
+    plans of every third corpus entry up to length 40, at 7, 14 and 30
+    digits."""
+    rng = random.Random(17)
+    for idx, entry in enumerate(load_default_corpus()):
+        if idx % 3 or len(entry.code.codes) > 40:
+            continue
+        for asg in all_assignments(entry.code)[:2]:
+            verts = angle_bounding_polygon(entry.code, asg).vertices
+            if not verts:
+                yield repr((idx, "empty"))
+                continue
+            sym = symbolic_tower(entry.code, asg)
+            for near in (False, True):
+                x, y = seeded_point(verts, rng, near)
+                for precision in (7, 14, 30):
+                    tower = sym.at(x, y, precision)
+                    out = []
+                    for check in (band_test, pruned_band_test, shape_test):
+                        try:
+                            v = check(tower)
+                        except ValueError as exc:
+                            out.append(type(exc).__name__)
+                            continue
+                        out.append((v.status, str(v.margin), v.blue_count,
+                                    v.black_count))
+                    yield repr((idx, str(x), str(y), precision, out))
+
+
+# sha256 of verdict_digest_lines as the Fraction-interval scores printed it
+# (420 lines: 247 passes, 757 fails, 4 indeterminates, 252 missing shapes)
+FROZEN_VERDICT_DIGEST = \
+    "e1d70da191560c92a9b21675fa1a809faaf2effd40dead9fa1a670f1e022ead3"
+
+
+def test_frozen_band_verdict_digest():
+    h = hashlib.sha256()
+    lines = 0
+    for line in verdict_digest_lines():
+        h.update(line.encode() + b"\n")
+        lines += 1
+    assert lines == 420
+    assert h.hexdigest() == FROZEN_VERDICT_DIGEST
+
+
+# --- integer scores ---------------------------------------------------
+
+def score_cases():
+    """(symbolic tower, x, y): small codes at points of their bands, the
+    worked example and corpus entry 56 inside their bounding polygons."""
+    rng = random.Random(23)
+    out = []
+    for codes, first, second, x, y in [([1, 1, 1], "X", "Y", 60, 60),
+                                       ([1, 2, 1, 2], "Z", "X", 30, 60),
+                                       ([2, 2], "X", "Y", 40, 50)]:
+        code = CodeSequence(codes)
+        out.append((symbolic_tower(code, assign_angles(code, first, second)),
+                    Fraction(x), Fraction(y)))
+    worked = CodeSequence(WORKED_CODES)
+    code56 = load_default_corpus()[56].code
+    for code, asg in [(worked, assign_angles(worked, WORKED_FIRST,
+                                             WORKED_SECOND)),
+                      (code56, all_assignments(code56)[0])]:
+        verts = angle_bounding_polygon(code, asg).vertices
+        out.append((symbolic_tower(code, asg),
+                    *seeded_point(verts, rng, False)))
+    return out
+
+
+@pytest.mark.parametrize("precision", [7, 30])
+def test_scores_match_interval_products(precision):
+    for sym, x, y in score_cases():
+        tower = sym.at(x, y, precision)
+        c, d = sym.shooting
+        civ, div = c.eval(x, y, precision), d.eval(x, y, precision)
+        assert tower.shooting_vector() == (civ, div)
+        for p in sym.points:
+            pxv = p.px.eval(x, y, precision)
+            pyv = p.py.eval(x, y, precision)
+            assert tower.score(p) == div * pxv - civ * pyv
+
+
+def test_vanishing_shooting_vector_raises_on_every_call():
+    code = CodeSequence([1, 2, 1, 2])
+    sym = SymbolicTower(code, assign_angles(code, "Z", "X"))
+    sym.shooting = (TrigPoly(), TrigPoly())
+    tower = sym.at(30, 60)
+    for _ in range(2):
+        with pytest.raises(PrecisionError):
+            tower.score(sym.centers[0])
+        with pytest.raises(PrecisionError):
+            tower.shooting_vector()
+
+
+def test_pruned_key_points_are_built_once():
+    code = CodeSequence(WORKED_CODES)
+    sym = SymbolicTower(code, assign_angles(code, WORKED_FIRST,
+                                            WORKED_SECOND))
+    first = pruned_key_points(sym)
+    sym._scores.clear()
+    # a second call, as every precision escalation of test_II makes,
+    # neither rebuilds the list nor re-expands a score
+    assert pruned_key_points(sym) is first
+    assert not sym._scores
