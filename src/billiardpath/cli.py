@@ -141,6 +141,17 @@ def _writing(path: str):
     print(f"wrote {path}")
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file named on the command line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"cannot read {path}: not UTF-8 text ({exc})")
+
+
 def _triangle(at) -> Triangle:
     try:
         return Triangle(*at)
@@ -234,12 +245,7 @@ def cmd_verify_corpus(args) -> int:
     if args.corpus is None:
         name, text = DEFAULT_CORPUS, default_corpus_text()
     else:
-        name = str(args.corpus)
-        try:
-            with open(args.corpus, encoding="utf-8") as f:
-                text = f.read()
-        except OSError as exc:
-            raise _InputError(str(exc))
+        name, text = str(args.corpus), _read_text(args.corpus)
     checked = problems = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -298,13 +304,11 @@ def cmd_certify(args) -> int:
 def _load_region(spec: str):
     if spec in PRESETS:
         return list(PRESETS[spec])
-    try:
-        with open(spec, encoding="utf-8") as f:
-            text = f.read()
-    except OSError:
+    if not os.path.isfile(spec):
         raise _InputError(
             f"region {spec!r} is neither a preset "
             f"({', '.join(sorted(PRESETS))}) nor a readable file")
+    text = _read_text(spec)
     points = []
     for chunk in text.split():
         parts = chunk.split(",")
@@ -421,6 +425,8 @@ def cmd_trace(args) -> int:
         result = trace(tri, state, args.bounces)
     except ValueError as exc:
         raise _InputError(str(exc))
+    except OverflowError:
+        raise _InputError("offset or angle outside the float range")
     print(f"start: side {state.side}, t={state.t:.9f}, "
           f"angle {state.angle:.9f} deg")
     word = " ".join(str(s) for s in result.sides)

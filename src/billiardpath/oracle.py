@@ -22,6 +22,8 @@ CLOSURE_TOLERANCE = 1e-9
 ENTRY_TOLERANCE = 1e-12
 
 _SIDE_CORNERS = {1: (0, 1), 2: (1, 2), 3: (0, 2)}
+# (first side, its first bounce partner) pairs, in the order searches try
+_START_PAIRS = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1))
 
 
 class RayState:
@@ -195,7 +197,7 @@ def start_assignment(code: CodeSequence, start_pair):
 def assignment_start(code: CodeSequence, asg):
     """Start pair whose labeling realizes the given assignment."""
     want = (asg.symbol(1), asg.symbol(2))
-    for pair in ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)):
+    for pair in _START_PAIRS:
         if start_assignment(code, pair) == want:
             return pair
     raise ValueError(f"no start pair realizes {want} for {code}")
@@ -255,7 +257,7 @@ def _theta_from(tri, start_pair, angle):
 
 
 def find_orbit(tri: Triangle, code: CodeSequence, seed: int = 0,
-               starts=None):
+               starts=_START_PAIRS):
     """Find a closed path with the code's bounce pattern.
 
     Unfolds each labeling once and reads the isometry from the first
@@ -267,8 +269,6 @@ def find_orbit(tri: Triangle, code: CodeSequence, seed: int = 0,
     bounce, and only a trace that returns to its start state within the
     closure tolerance counts.  Returns None when no labeling closes.
     """
-    if starts is None:
-        starts = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1))
     period = code.total()
     rng = random.Random(seed)
     close = CLOSURE_TOLERANCE * tri.diameter()

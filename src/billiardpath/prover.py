@@ -45,8 +45,8 @@ exact path alone would give.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
 from fractions import Fraction
 
 from .classify import (angle_bounding_polygon, corner_box, is_stable,
@@ -918,6 +918,50 @@ def _walls(target):
     return edges + list(_box(polygon_bbox(target)))
 
 
+def _cover_node(square: Square, depth: int, plans, hint, walls, system,
+                precision: int, max_depth: int, memos: dict):
+    """One quadtree node of ``cover``: None when the square overlaps the
+    target (``walls``) in no positive area, else a ``CoverRecord`` for the
+    first candidate that certifies it, else the square itself, a failure,
+    when it has no candidate or lies at ``max_depth``, else its children's
+    candidates and hint.  The candidates are the ``plans`` whose box meets
+    the square, ``hint`` first; only those whose polygon holds the square
+    are certified (``system`` maps a plan key to its region system).
+    Indeterminate ones are retried at double precision unless the gate
+    showed that no precision can pass; the first of them, retried or not,
+    leads the children's candidates.  Each precision p has one fresh
+    kernel cache for all candidates, all band systems evaluated at the
+    square's center, and the level's memo ``memos[p]``.
+    """
+    if not all(square.spread(a, b, c)[1] > 0 for a, b, c in walls):
+        return None
+    cands = [plan for plan in plans if _meets(square, plan[2])]
+    if hint in cands:
+        cands.remove(hint)
+        cands.insert(0, hint)
+    # a square poking out of a polygon cannot be certified; tested lazily,
+    # so a pass ends the search before later candidates build systems
+    todo = (plan for plan in cands if _inside(square, plan[1].faces))
+    lead = None
+    for p in (precision, 2 * precision):
+        cache, memo, retry = {}, memos.setdefault(p, {}), []
+        for plan in todo:
+            got = system(plan[0])
+            cert = certify_square(got, square, p, cache, memo)
+            if cert.passed:
+                return CoverRecord(square, plan[0][0], cert.margin, p,
+                                   got.asg.symbol(1) + got.asg.symbol(2))
+            if cert.status == "indeterminate":
+                if lead is None:
+                    lead = plan
+                if cert.note != NO_PRECISION_PASSES:
+                    retry.append(plan)
+        todo = retry
+    if not cands or depth >= max_depth:
+        return square
+    return cands, lead
+
+
 def cover(target, corpus, *, precision: int = MIN_PRECISION,
           max_depth: int = DEFAULT_MAX_DEPTH, threads: int = 1) -> CoverResult:
     """Certify a convex rational target polygon against a corpus of codes.
@@ -925,17 +969,10 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
     The target must be convex, with no vertex repeated in a row (collinear
     vertices are fine); any other polygon raises ``ValueError``, and so do
     a precision below ``MIN_PRECISION`` and a negative ``max_depth``.
-    Quadtree from the target's bounding square, visited breadth first:
-    nodes missing the target (or overlapping it with zero area) are
-    dropped, certified nodes become records, everything else splits until
-    ``max_depth``, where the uncovered squares are reported as failures.
-    An indeterminate verdict retries at double precision before splitting,
-    unless ``certify_square``'s gate showed that no precision can pass;
-    such a candidate still leads its children's candidate order.  The
-    candidates of one square share one kernel cache per precision, and
-    the squares of one level, which share one W, share one kernel memo per
-    precision; both memos are dropped when the next level starts, so they
-    never hold more than one level's angles.  Candidate order is the
+    Quadtree from the target's bounding square, walked level by level, one
+    ``_cover_node`` step per square.  The squares of a level share one W,
+    so they share one kernel memo per precision, dropped with the level
+    (it never holds more than one level's angles).  Candidate order is the
     corpus order filtered down the parent chain, with the parent's most
     promising code tried first.  Only the plans whose corner box
     (``classify.corner_box``, the closed-form box of the bounds
@@ -972,69 +1009,28 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
             poly = angle_bounding_polygon(code, asg)
             if not poly.is_empty:
                 plans.append(((i, j), poly, _box(poly.bbox())))
-    systems = {}  # built lazily, shared across the tree
 
+    @functools.cache  # built lazily, shared across the tree
     def system(key):
-        got = systems.get(key)
-        if got is None:
-            i, j = key
-            got = systems[key] = region_system(
-                codes[i], all_assignments(codes[i])[j])
-        return got
+        i, j = key
+        return region_system(codes[i], all_assignments(codes[i])[j])
 
     records, failures = [], []
-    max_depth_used = 0
-    level = None
-    queue = deque([(root, 0, plans, None)])
-    while queue:
-        square, depth, allowed, hint = queue.popleft()
-        if depth != level:
-            # breadth first, so a level's squares come in one run and share
-            # one W: one kernel memo per precision serves them all
-            level, memo, retry_memo = depth, {}, {}
-        if not all(square.spread(a, b, c)[1] > 0 for a, b, c in walls):
-            continue
-        cands = [plan for plan in allowed if _meets(square, plan[2])]
-        if hint in cands:
-            cands.remove(hint)
-            cands.insert(0, hint)
-        p, cert, pending, retry = precision, None, [], []
-        # every plan is a band system evaluated at the square's center, so
-        # one kernel cache serves them all at one precision
-        cache: dict = {}
-        for plan in cands:
-            key, poly, _ = plan
-            # a square poking out of the polygon cannot be certified, and
-            # this exact test is what makes systems worth building
-            if not _inside(square, poly.faces):
-                continue
-            cert = certify_square(system(key), square, p, cache, memo)
-            if cert.passed:
-                break
-            if cert.status == "indeterminate":
-                pending.append(plan)
-                if cert.note != NO_PRECISION_PASSES:
-                    retry.append(plan)
-        else:
-            p, cache = 2 * precision, {}
-            for plan in retry:
-                cert = certify_square(system(plan[0]), square, p, cache,
-                                      retry_memo)
-                if cert.passed:
-                    break
-        if cert is not None and cert.passed:
-            max_depth_used = max(max_depth_used, depth)
-            key = plan[0]
-            asg = system(key).asg
-            records.append(CoverRecord(square, key[0], cert.margin, p,
-                                       asg.symbol(1) + asg.symbol(2)))
-        elif not cands or depth >= max_depth:
-            max_depth_used = max(max_depth_used, depth)
-            failures.append(square)
-        else:
-            hint = pending[0] if pending else None
-            queue.extend((child, depth + 1, cands, hint)
-                         for child in square.children())
+    max_depth_used, depth, nodes = 0, 0, [(root, plans, None)]
+    while nodes:
+        memos, children, done = {}, [], len(records) + len(failures)
+        for square, allowed, hint in nodes:
+            step = _cover_node(square, depth, allowed, hint, walls, system,
+                               precision, max_depth, memos)
+            if isinstance(step, CoverRecord):
+                records.append(step)
+            elif isinstance(step, Square):
+                failures.append(step)
+            elif step is not None:
+                children.extend((child, *step) for child in square.children())
+        if len(records) + len(failures) > done:
+            max_depth_used = depth
+        nodes, depth = children, depth + 1
     return CoverResult(target, len(codes), precision, max_depth, records,
                        failures, max_depth_used)
 

@@ -179,9 +179,6 @@ class AngleAssignment:
         i = (i - 1) % self.length + 1
         return self.top[i] if i % 2 else self.bottom[i]
 
-    def symbols(self) -> list:
-        return [self.symbol(i) for i in range(1, self.length + 1)]
-
     def top_row(self) -> list:
         return [self.top[i] for i in range(1, self.length + 1, 2)]
 

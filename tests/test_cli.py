@@ -25,6 +25,13 @@ def tiny_corpus(tmp_path):
 
 
 @pytest.fixture
+def not_utf8(tmp_path):
+    p = tmp_path / "binary.bin"
+    p.write_bytes(b"58,58 62,58 \xff\xfe 62,62\n")
+    return str(p)
+
+
+@pytest.fixture
 def square_region(tmp_path):
     p = tmp_path / "region.txt"
     p.write_text("58,58 62,58 62,62 58,62\n")
@@ -108,6 +115,11 @@ class TestVerifyCorpus:
         assert code == 3
         assert "error:" in err
 
+    def test_file_not_utf8(self, capsys, not_utf8):
+        code, _, err = run(capsys, "verify-corpus", "--corpus", not_utf8)
+        assert code == 3
+        assert f"error: cannot read {not_utf8}: not UTF-8 text" in err
+
 
 class TestCertify:
     def test_pass(self, capsys):
@@ -185,6 +197,13 @@ class TestCover:
         code, _, err = run(capsys, "cover", "--region", "nope")
         assert code == 3
         assert "neither a preset" in err
+
+    def test_region_file_not_utf8(self, capsys, tiny_corpus, not_utf8):
+        code, out, err = run(capsys, "cover", "--region", not_utf8,
+                             "--corpus", tiny_corpus)
+        assert code == 3
+        assert out == ""
+        assert f"error: cannot read {not_utf8}: not UTF-8 text" in err
 
     def test_region_file_needs_pairs(self, capsys, tmp_path):
         bad = tmp_path / "r.txt"
@@ -330,6 +349,17 @@ class TestOrbitTrace:
                              "--offset", "1/2", "--angle", angle)
         assert code == 3
         assert "does not enter the interior" in err
+        assert not out
+
+
+    @pytest.mark.parametrize("flag", ["--offset", "--angle"])
+    def test_trace_input_beyond_the_float_range(self, capsys, flag):
+        # exact rationals parse; only the conversion to doubles overflows
+        args = {"--offset": "1/2", "--angle": "60", flag: "1e400"}
+        code, out, err = run(capsys, "trace", "--at", "60,60", "--side", "1",
+                             *[item for pair in args.items() for item in pair])
+        assert code == 3
+        assert "error: offset or angle outside the float range" in err
         assert not out
 
 

@@ -34,6 +34,7 @@ from billiardpath.prover import (
     Square,
     _box,
     _chord_in_square,
+    _cover_node,
     _inside,
     _meets,
     _walls,
@@ -865,6 +866,63 @@ class TestCover:
                                  "'failure 60 60 -2'"):
             CoverResult.parse(text.replace("failure 60 60 10",
                                            "failure 60 60 -2"))
+
+
+def node_plans(codes):
+    """Every nonempty plan of ``codes`` as ``cover`` compiles it (key,
+    polygon, box), and the plan key's region system."""
+    plans = [((i, j), poly, _box(poly.bbox()))
+             for i, code in enumerate(codes)
+             for j, asg in enumerate(all_assignments(code))
+             for poly in [angle_bounding_polygon(code, asg)]
+             if not poly.is_empty]
+
+    def system(key):
+        code = codes[key[0]]
+        return region_system(code, all_assignments(code)[key[1]])
+
+    return plans, system
+
+
+class TestCoverNode:
+    def test_retry_gives_the_record_at_double_precision(self):
+        # the square of test_retry_at_double_precision_certifies, as a node
+        sq = Square(F(48595, 4096), F(264375, 4096), F(65, 4096))
+        plans, system = node_plans([load_default_corpus()[91].code])
+        got = _cover_node(sq, 0, plans, None, _walls(sq.corners()), system,
+                          7, 20, {})
+        assert got == CoverRecord(sq, 0, F(47382509, 50000000000000), 14)
+
+    @pytest.mark.parametrize("square", [
+        Square(100, 100, 1),
+        # shares only an edge with the target: no positive area
+        Square(72, 60, 2),
+    ])
+    def test_square_outside_the_walls_is_dropped(self, square):
+        plans, system = node_plans([ORTHIC])
+        walls = _walls([(50, 50), (70, 50), (70, 70), (50, 70)])
+        assert _cover_node(square, 0, plans, None, walls, system, 7, 20,
+                           {}) is None
+
+    def test_uncertified_square_at_max_depth_is_a_failure(self):
+        sq = Square(60, 60, 10)
+        plans, system = node_plans([ORTHIC])
+        got = _cover_node(sq, 2, plans, None, _walls(sq.corners()), system,
+                          7, 2, {})
+        assert got is sq
+
+    def test_split_hands_children_the_first_indeterminate_plan(self):
+        # a depth-3 square of the deep box whose first candidate fails
+        sq = Square(F(383, 32), F(2057, 32), F(1, 32))
+        plans, system = node_plans(
+            [load_default_corpus()[i].code for i in DEEP_CODES])
+        cands, hint = _cover_node(sq, 3, plans, None, _walls(DEEP_BOX),
+                                  system, 7, 20, {})
+        held = [plan for plan in cands if _inside(sq, plan[1].faces)]
+        statuses = [certify_square(system(plan[0]), sq).status
+                    for plan in held]
+        assert statuses[0] != "indeterminate"
+        assert hint is held[statuses.index("indeterminate")]
 
 
 def integer_gate_only(monkeypatch):
