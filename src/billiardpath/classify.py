@@ -200,19 +200,6 @@ def canonical_unstable_line(code: CodeSequence):
     return best[1], best[2]
 
 
-def reduce_on_line(form: AffineForm, line) -> AffineForm:
-    """Restrict a theta-free form to the line a*x + b*y = c*90."""
-    a, b, c = line
-    if form.t:
-        raise ValueError("form still mentions theta")
-    if b != 0:
-        return AffineForm(form.ax - form.ay * Fraction(a, b), 0,
-                          form.c + form.ay * Fraction(c, b), 0)
-    if a == 0:
-        raise ValueError("degenerate line")
-    return AffineForm(0, form.ay, form.c + form.ax * Fraction(c, a), 0)
-
-
 # --- bounding polygons ------------------------------------------------
 
 class BoundingPolygon:

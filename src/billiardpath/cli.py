@@ -403,7 +403,10 @@ def cmd_tower(args) -> int:
 def cmd_orbit(args) -> int:
     code = _code_from_args(args.code)
     tri = _triangle(args.at)
-    got = find_orbit(tri, code, seed=args.seed)
+    try:
+        got = find_orbit(tri, code, seed=args.seed)
+    except ValueError as exc:
+        raise _InputError(str(exc))
     if got is None:
         print("no closed path found")
         return 2

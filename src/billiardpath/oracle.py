@@ -26,6 +26,21 @@ _SIDE_CORNERS = {1: (0, 1), 2: (1, 2), 3: (0, 2)}
 _START_PAIRS = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1))
 
 
+def _corners(tri: Triangle):
+    """The float corners of ``tri``; raises ``ValueError`` when a side's
+    squared length or twice the area is 0 in doubles, as in a triangle
+    too thin for them: reflecting onto a side, or reading the isometry of
+    an unfolding, divides by those."""
+    verts = tri.vertices()
+    (ax, ay), (bx, by), (cx, cy) = verts
+    if 0 in ((bx - ax) ** 2 + (by - ay) ** 2, (cx - bx) ** 2 + (cy - by) ** 2,
+             (cx - ax) ** 2 + (cy - ay) ** 2,
+             (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)):
+        raise ValueError("triangle too thin for doubles: a side's squared "
+                         "length or its area is 0")
+    return verts
+
+
 class RayState:
     """A ray leaving a boundary point into the interior.
 
@@ -90,11 +105,12 @@ def trace(tri: Triangle, start: RayState, max_bounces: int,
     the flag set; nothing is perturbed to push past it.  ``expect`` is an
     optional side-label sequence: the trace stops early as soon as a
     bounce deviates from it, leaving the matched prefix in ``sides``.
+    A triangle too thin for doubles raises ``ValueError``.
     """
+    verts = _corners(tri)
     if not start.enters_interior(tri):
         raise ValueError(f"{start} does not enter the interior")
     tol = VERTEX_TOLERANCE * tri.diameter()
-    verts = tri.vertices()
     px, py = start.point(tri)
     dx, dy = start.direction()
     cur = start.side
@@ -267,8 +283,10 @@ def find_orbit(tri: Triangle, code: CodeSequence, seed: int = 0,
     start inside the middle half of that interval.  A glide reflection
     pins the path to its axis.  Each candidate is then re-traced bounce by
     bounce, and only a trace that returns to its start state within the
-    closure tolerance counts.  Returns None when no labeling closes.
+    closure tolerance counts.  Returns None when no labeling closes; a
+    triangle too thin for doubles raises ``ValueError``.
     """
+    _corners(tri)
     period = code.total()
     rng = random.Random(seed)
     close = CLOSURE_TOLERANCE * tri.diameter()

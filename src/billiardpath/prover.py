@@ -24,9 +24,10 @@ target in positive area when the greatest is positive on every target
 edge line and box side: by the separating axis theorem, convex polygons
 with disjoint interiors are parted by a line along an edge of one of them.
 Each row is summed by the one trig-sum rule ``numeric.sum_bounds`` with
-the center as (X, Y, W), and the sweep bumps are integer ceiling
-divisions, so no ``Fraction`` or ``Interval`` is built per node, atom or
-row.
+the center as (X, Y, W), each sweep bump is an integer times r*pi/180,
+held as an integer ratio, rounded by one integer division, and every
+black-over-blue decision is the band test's ``tower.separation``: on a
+band system the only ``Fraction`` built is a pass's margin.
 
 Exact work is done only where it can change the answer.  A float screen
 with a proven error slack rejects a square whose center certainly fails
@@ -56,7 +57,7 @@ from .geometry import (line_segment_in_halfplanes, polygon_area2,
 from .numeric import (MIN_PRECISION, TrigPoly, gradient_sum, pi_enclosure,
                       sum_bounds)
 from .sequences import CodeSequence, all_assignments
-from .tower import BLACK, pruned_key_points, symbolic_tower
+from .tower import BLACK, pruned_key_points, separation, symbolic_tower
 
 DEFAULT_MAX_DEPTH = 20
 
@@ -303,26 +304,29 @@ def _screen_rows(rows, den):
     return tuple(atoms), tuple(out)
 
 
-_RAD_PER_DEGREE: dict = {}
+_PI_GRID: dict = {}
 
 
-def _rad_per_degree(precision: int) -> tuple[Fraction, Fraction]:
-    """Lower and upper bounds of pi/180 from the pi enclosure."""
-    got = _RAD_PER_DEGREE.get(precision)
+def _radians(square: Square, precision: int):
+    """The square's half side r times pi/180, from below and above, as
+    integer ratios (num, den): the ends of the pi enclosure on the
+    10^-precision grid times R, over 180 * 10^precision * W."""
+    got = _PI_GRID.get(precision)
     if got is None:
-        pi = pi_enclosure(precision)
-        got = _RAD_PER_DEGREE[precision] = (pi.lo / 180, pi.hi / 180)
-    return got
+        pi, s = pi_enclosure(precision), 10 ** precision
+        got = _PI_GRID[precision] = (int(pi.lo * s), int(pi.hi * s))
+    den = 180 * 10 ** precision * square.W
+    return (got[0] * square.R, den), (got[1] * square.R, den)
 
 
-def _ceil_times(q: Fraction, k: int) -> int:
-    """ceil(q * k) for an integer k, without building the product."""
-    return -((-k * q.numerator) // q.denominator)
+def _ceil_times(q, k: int) -> int:
+    """ceil(k * num / den) for an integer ratio q = (num, den), den > 0."""
+    return -((-k * q[0]) // q[1])
 
 
-def _floor_times(q: Fraction, k: int) -> int:
-    """floor(q * k) for an integer k, without building the product."""
-    return k * q.numerator // q.denominator
+def _floor_times(q, k: int) -> int:
+    """floor(k * num / den) for an integer ratio q = (num, den), den > 0."""
+    return k * q[0] // q[1]
 
 
 def _atom_angle(atom, X: int, Y: int, W: int) -> float:
@@ -407,19 +411,18 @@ def _floor_float(v: float, k: int) -> int:
 
 
 def _hopeless(system: RegionSystem, angles, values, precision: int,
-              rad_lo: Fraction) -> bool:
+              rad_lo) -> bool:
     """Float retry gate: True only where the exact path returns
     "indeterminate" with note ``NO_PRECISION_PASSES``; conditions (a) to
-    (c) of ``certify_square``.  ``rad_lo`` is r * pi_lo/180."""
+    (c) of ``certify_square``.  ``rad_lo`` is ``_radians``' lower ratio."""
     atoms, rows = system.screen
     scale = 10 ** precision
     unit = system.den * scale  # the exact bounds count in 1/unit
-    base_lo = rad_lo * scale
     grid = 2 / scale
     # (b): the exact center test does not fail
-    black = [f - row[4] for row, f in zip(rows, values) if row[0]]
-    blue = [f + row[4] for row, f in zip(rows, values) if not row[0]]
-    if not black or not blue or min(black) <= max(blue):
+    black, blue = separation((row[0], f - row[4] if row[0] else f + row[4])
+                             for row, f in zip(rows, values))
+    if black <= blue:
         return False
     # (a): per row, N * (f + slack) floored for a black row and
     # N * (f - slack) ceiled for a blue one, and the coefficient bump
@@ -428,12 +431,11 @@ def _hopeless(system: RegionSystem, angles, values, precision: int,
         slack = weight * grid + err
         ends.append(_floor_float(f + slack, unit) if is_black
                     else -_floor_float(slack - f, unit))
-        bumps.append(_floor_times(base_lo, g))
+        bumps.append(_floor_times(rad_lo, scale * g))
 
     def reaches():
-        rows_ends = list(zip(rows, ends, bumps))
-        return (min(e - b for row, e, b in rows_ends if row[0]),
-                max(e + b for row, e, b in rows_ends if not row[0]))
+        return separation((row[0], e - b if row[0] else e + b)
+                          for row, e, b in zip(rows, ends, bumps))
 
     # first with the coefficient bumps, the most L can be: a square that
     # this leaves open may pass, and needs no derivative floats; nor does
@@ -455,7 +457,8 @@ def _hopeless(system: RegionSystem, angles, values, precision: int,
         dist = 0
         for f, (weight, err, g2) in zip((fx, fy), row[6]):
             gap = max(abs(f) - (weight * grid + err), 0.0)
-            dist += _floor_float(gap, unit) + _floor_times(base_lo, g2)
+            dist += _floor_float(gap, unit) + _floor_times(rad_lo,
+                                                           scale * g2)
         bumps[k] = min(bumps[k], _floor_times(rad_lo, dist))
     black_reach, blue_reach = reaches()
     return black_reach <= blue_reach
@@ -606,73 +609,47 @@ def certify_square(system: RegionSystem, square: Square,
     angles, values = _center_floats(system, X, Y, W)
     if _center_fails(system, values, precision):
         return Certificate("fail", note=CENTER_FAILS)
-    rad_lo, rad = (q * square.r for q in _rad_per_degree(precision))
+    rad_lo, rad = _radians(square, precision)
     if _hopeless(system, angles, values, precision, rad_lo):
         return Certificate("indeterminate", note=NO_PRECISION_PASSES)
     if cache is None:
         cache = {}
     scale = 10 ** precision
-    base = rad * scale
-    black_min = blue_max = None
-    black_hi_min = blue_lo_max = None
     evals = []
     for is_black, terms, g in system.rows:
         lo, hi = sum_bounds(terms, X, Y, W, precision, cache, memo)
-        bump = _ceil_times(base, g)
-        evals.append((is_black, lo, hi, bump, g))
-        if is_black:
-            swept = lo - bump
-            if black_min is None or swept < black_min:
-                black_min = swept
-            if black_hi_min is None or hi < black_hi_min:
-                black_hi_min = hi
-        else:
-            swept = hi + bump
-            if blue_max is None or swept > blue_max:
-                blue_max = swept
-            if blue_lo_max is None or lo > blue_lo_max:
-                blue_lo_max = lo
-    if black_min is None or blue_max is None:
-        raise ValueError("system lacks one of the two colors")
-    if black_min > blue_max:
-        margin = Fraction(black_min - blue_max, system.den * scale)
-        return Certificate("pass", margin)
-    if black_hi_min <= blue_lo_max:
+        evals.append((is_black, lo, hi, _ceil_times(rad, scale * g), g))
+    black, blue = separation((b, lo - bump if b else hi + bump)
+                             for b, lo, hi, bump, _ in evals)
+    if black > blue:
+        return Certificate("pass", Fraction(black - blue, system.den * scale))
+    black, blue = separation((b, hi if b else lo) for b, lo, hi, _, _ in evals)
+    if black <= blue:
         return Certificate("fail", note=CENTER_FAILS)
     # The coefficient-sum sweep was too pessimistic.  Bound the score
     # movement again through the derivative polynomials evaluated at the
     # center: |f(q) - f(center)| <= r*(pi/180)*(sup|df/dx| + sup|df/dy|),
     # where each sup over the square is the center value widened by the
     # derivative's own coefficient-sum sweep.  Never looser than the plain
-    # bump, so passes already issued are unaffected.
-    drows = system.deriv_rows()
-    base_lo = rad_lo * scale  # for the gate: no precision sweeps less
-    black_min = blue_max = None
-    black_reach = blue_reach = None
-    for (is_black, lo, hi, bump, g), parts in zip(evals, drows):
+    # bump, so passes already issued are unaffected.  ``reach`` is the
+    # retry gate's: no precision sweeps less than r * pi_lo/180.
+    swept, reach = [], []
+    for (is_black, lo, hi, bump, g), parts in zip(evals, system.deriv_rows()):
         sup = dist = 0
         for dterms, g2 in parts:
             dlo, dhi = sum_bounds(dterms, X, Y, W, precision, cache, memo)
-            sup += max(abs(dlo), abs(dhi)) + _ceil_times(base, g2)
-            dist += max(dlo, -dhi, 0) + _floor_times(base_lo, g2)
+            sup += max(abs(dlo), abs(dhi)) + _ceil_times(rad, scale * g2)
+            dist += max(dlo, -dhi, 0) + _floor_times(rad_lo, scale * g2)
         bump2 = min(bump, _ceil_times(rad, sup))
-        bump_lo = min(_floor_times(base_lo, g), _floor_times(rad_lo, dist))
-        if is_black:
-            swept = lo - bump2
-            if black_min is None or swept < black_min:
-                black_min = swept
-            if black_reach is None or hi - bump_lo < black_reach:
-                black_reach = hi - bump_lo
-        else:
-            swept = hi + bump2
-            if blue_max is None or swept > blue_max:
-                blue_max = swept
-            if blue_reach is None or lo + bump_lo > blue_reach:
-                blue_reach = lo + bump_lo
-    if black_min > blue_max:
-        margin = Fraction(black_min - blue_max, system.den * scale)
-        return Certificate("pass", margin)
-    if black_reach <= blue_reach:
+        bump_lo = min(_floor_times(rad_lo, scale * g),
+                      _floor_times(rad_lo, dist))
+        swept.append((is_black, lo - bump2 if is_black else hi + bump2))
+        reach.append((is_black, hi - bump_lo if is_black else lo + bump_lo))
+    black, blue = separation(swept)
+    if black > blue:
+        return Certificate("pass", Fraction(black - blue, system.den * scale))
+    black, blue = separation(reach)
+    if black <= blue:
         return Certificate("indeterminate", note=NO_PRECISION_PASSES)
     return Certificate("indeterminate")
 
@@ -1037,10 +1014,10 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
 
 # --- the triple rule --------------------------------------------------
 
-def _positive_on_square(poly: TrigPoly, center, r, precision, cache) -> bool:
-    iv = poly.eval(center[0], center[1], precision, cache)
-    bump = _rad_per_degree(precision)[1] * r * poly.gradient_bound()
-    return iv.lo - bump > 0
+def _positive_on_square(poly: TrigPoly, square, precision, cache) -> bool:
+    iv = poly.eval(square.x, square.y, precision, cache)
+    num, den = _radians(square, precision)[1]
+    return iv.lo > Fraction(num, den) * poly.gradient_bound()
 
 
 def triple_rule(square: Square, r1: RegionSystem, r2: RegionSystem,
@@ -1085,12 +1062,11 @@ def triple_rule(square: Square, r1: RegionSystem, r2: RegionSystem,
         t = (cx - q0[0]) * dx + (cy - q0[1]) * dy
         if not 0 <= t <= dd:
             return "fail"
-    center = (square.x, square.y)
     cache: dict = {}
 
     def holds(polys, flip):
-        return all(_positive_on_square(-p if flip else p, center, square.r,
-                                       precision, cache)
+        return all(_positive_on_square(-p if flip else p, square, precision,
+                                       cache)
                    for p in polys)
 
     for first_positive in (True, False):

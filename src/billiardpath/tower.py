@@ -15,7 +15,8 @@ point its fan's center plus one, and a turning score is its base point's
 score plus the product of that one step with the shooting vector.  Angles
 are the integer triples (ax, ay, q) of ``SYMBOL_FORMS``, for ax*x + ay*y +
 q*90 degrees, passed to ``simplify`` as atoms.  ``Tower.score`` forms
-d*px - c*py from the integer ends that ``sum_bounds`` gives.
+d*px - c*py as integer ends from those that ``sum_bounds`` gives, and the
+tests decide on them by ``separation``, as ``prover.certify_square`` does.
 """
 
 from __future__ import annotations
@@ -51,6 +52,23 @@ class ShapeError(ValueError):
 
 BLUE = "blue"
 BLACK = "black"
+
+
+def separation(pairs):
+    """The least black and the greatest blue value of (is_black, value)
+    pairs: black outscores blue exactly where the first exceeds the
+    second.  The band test and the square certificate both decide by it.
+    Raises ``ValueError`` when a color is missing."""
+    black = blue = None
+    for is_black, v in pairs:
+        if is_black:
+            if black is None or v < black:
+                black = v
+        elif blue is None or v > blue:
+            blue = v
+    if black is None or blue is None:
+        raise ValueError("need both colors to compare")
+    return black, blue
 
 
 def _sin_atom(letter: str):
@@ -335,18 +353,18 @@ class Tower:
         return tuple(Interval(Fraction(lo, den * s), Fraction(hi, den * s))
                      for lo, hi, den in self._shooting_ends())
 
-    def score(self, point: TowerPoint) -> Interval:
-        """d*px - c*py by the interval product rule on the integer ends,
-        over the product of their denominators."""
+    def score(self, point: TowerPoint):
+        """d*px - c*py as integer ends (lo, hi, den), the score lying in
+        [lo, hi] / den, by the interval product rule on the integer ends;
+        den is the product of their denominators."""
         (clo, chi, cden), (dlo, dhi, dden) = self._shooting_ends()
         alo, ahi, aden = self._ends(point.px)
         blo, bhi, bden = self._ends(point.py)
         ps = (dlo * alo, dlo * ahi, dhi * alo, dhi * ahi)
         qs = (clo * blo, clo * bhi, chi * blo, chi * bhi)
         da, cb = dden * aden, cden * bden
-        den = da * cb * 10 ** (2 * self.precision)
-        return Interval(Fraction(min(ps) * cb - max(qs) * da, den),
-                        Fraction(max(ps) * cb - min(qs) * da, den))
+        return (min(ps) * cb - max(qs) * da, max(ps) * cb - min(qs) * da,
+                da * cb * 10 ** (2 * self.precision))
 
     def fan_angles_below_180(self) -> bool:
         return all(f.central_degrees(self.x, self.y) < 180
@@ -355,13 +373,8 @@ class Tower:
     def band_refuted(self) -> bool:
         """True when some end displacement certainly leaves the shooting
         direction, so no periodic band exists at this triangle."""
-        for poly in self.sym.closure:
-            if poly.is_zero():
-                continue
-            if 0 not in poly.eval(self.x, self.y, self.precision,
-                                  self._cache):
-                return True
-        return False
+        return any(lo > 0 or hi < 0
+                   for lo, hi, _ in map(self._ends, self.sym.closure))
 
 
 class Verdict:
@@ -392,26 +405,21 @@ def _judge(tower: Tower, points) -> Verdict:
     """
     if tower.band_refuted():
         return Verdict("fail", None, 0, 0)
-    blue_hi = blue_lo = black_hi = black_lo = None
-    blues = blacks = 0
-    for p in points:
-        s = tower.score(p)
-        if p.color == BLUE:
-            blue_hi = s.hi if blue_hi is None else max(blue_hi, s.hi)
-            blue_lo = s.lo if blue_lo is None else max(blue_lo, s.lo)
-            blues += 1
-        else:
-            black_hi = s.hi if black_hi is None else min(black_hi, s.hi)
-            black_lo = s.lo if black_lo is None else min(black_lo, s.lo)
-            blacks += 1
-    if not blues or not blacks:
-        raise ValueError("need both colors to compare")
-    margin = black_lo - blue_hi
-    if margin > 0:
-        return Verdict("pass", margin, blues, blacks)
+    scores = [(p.color == BLACK, tower.score(p)) for p in points]
+    # every denominator is 2^k * 10^(2 * precision): bring the ends to one
+    den = math.lcm(*(d for _, (_, _, d) in scores))
+    ends = [(is_black, lo * (den // d), hi * (den // d))
+            for is_black, (lo, hi, d) in scores]
+    black_lo, blue_hi = separation((b, lo if b else hi) for b, lo, hi in ends)
+    blacks = sum(b for b, _, _ in ends)
+    counts = (len(ends) - blacks, blacks)
+    margin = Fraction(black_lo - blue_hi, den)
+    if black_lo > blue_hi:
+        return Verdict("pass", margin, *counts)
+    black_hi, blue_lo = separation((b, hi if b else lo) for b, lo, hi in ends)
     if black_hi <= blue_lo:
-        return Verdict("fail", margin, blues, blacks)
-    return Verdict("indeterminate", margin, blues, blacks)
+        return Verdict("fail", margin, *counts)
+    return Verdict("indeterminate", margin, *counts)
 
 
 def test_I(tower: Tower) -> Verdict:

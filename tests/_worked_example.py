@@ -3,12 +3,14 @@
 Terms are (coeff, kind, m, n) for coeff * kind(m*x + n*y) in degrees.
 The reference sums fold one chain step through the y = x identity, so
 they match the fully symbolic columns only after substituting y = x,
-which ``substitute_line`` does.
+which ``substitute_line`` does.  ``reduce_on_line`` restricts an affine
+angle form to a line the same way, for checking the paper's
+shooting-angle formulas.
 """
 
 from fractions import Fraction
 
-from billiardpath.numeric import TrigPoly
+from billiardpath.numeric import AffineForm, TrigPoly
 
 
 def substitute_line(poly, s, t):
@@ -23,6 +25,20 @@ def substitute_line(poly, s, t):
             raise ValueError("substitution leaves the integer lattice")
         out = out + TrigPoly.atom(kind, int(mm), 0, int(qq), c)
     return out
+
+
+def reduce_on_line(form, line):
+    """Restrict a theta-free ``AffineForm`` to the line a*x + b*y = c*90."""
+    a, b, c = line
+    if form.t:
+        raise ValueError("form still mentions theta")
+    if b != 0:
+        return AffineForm(form.ax - form.ay * Fraction(a, b), 0,
+                          form.c + form.ay * Fraction(c, b), 0)
+    if a == 0:
+        raise ValueError("degenerate line")
+    return AffineForm(0, form.ay, form.c + form.ax * Fraction(c, a), 0)
+
 
 WORKED_CODES = [1, 1, 2, 3, 3, 2]
 WORKED_FIRST, WORKED_SECOND = "X", "Y"

@@ -16,10 +16,11 @@ import random
 import time
 from fractions import Fraction
 
-from _worked_example import C_REFERENCE, D_REFERENCE, substitute_line
+from _worked_example import (C_REFERENCE, D_REFERENCE, reduce_on_line,
+                             substitute_line)
 from billiardpath.classify import (angle_bounding_polygon,
                                    canonical_unstable_line, classify_code,
-                                   reduce_on_line, solve_theta)
+                                   solve_theta)
 from billiardpath.corpus import (default_corpus_text, load_default_corpus,
                                  parse_corpus_line)
 from billiardpath.numeric import (Interval, TrigPoly, enclose_cos,

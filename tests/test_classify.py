@@ -17,7 +17,6 @@ from billiardpath.classify import (
     is_stable,
     line_region,
     palindromic_pivots,
-    reduce_on_line,
     shooting_angle_sequence,
     solve_theta,
     stability_defect,
@@ -26,6 +25,8 @@ from billiardpath.classify import (
 from billiardpath.corpus import load_default_corpus
 from billiardpath.geometry import point_satisfies
 from billiardpath.sequences import CodeSequence, all_assignments, assign_angles
+
+from _worked_example import reduce_on_line
 
 F = Fraction
 

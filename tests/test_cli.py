@@ -362,6 +362,19 @@ class TestOrbitTrace:
         assert "error: offset or angle outside the float range" in err
         assert not out
 
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "1 1 1", "--at", "1e-200,90"],
+        ["orbit", "1 1 1", "--at", "1e-140,1e-140"],
+        ["trace", "--at", "1e-200,90", "--side", "2", "--offset", "1/2",
+         "--angle", "100"],
+    ])
+    def test_triangle_too_thin_for_doubles(self, capsys, argv):
+        # a side's squared length, or twice the area, underflows to 0.0
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert "error: triangle too thin for doubles" in err
+        assert not out
+
 
 class TestParser:
     def test_no_command(self, capsys):

@@ -59,6 +59,18 @@ class TestTrace:
         assert run.sides == want
 
 
+    @pytest.mark.parametrize("x, y", [("1e-200", 90), (90, "1e-200"),
+                                      ("1e-140", "1e-140")])
+    def test_triangle_too_thin_for_doubles_rejected(self, x, y):
+        # a side's squared length or twice the area is 0.0 in doubles
+        tri = Triangle(Fraction(x), Fraction(y))
+        for side in (1, 2, 3):
+            with pytest.raises(ValueError, match="too thin for doubles"):
+                trace(tri, RayState(side, 0.5, 100.0), 5)
+        with pytest.raises(ValueError, match="too thin for doubles"):
+            find_orbit(tri, CodeSequence([1, 1, 1]))
+
+
 class TestFindOrbit:
     def test_equilateral_midpoint_orbit(self):
         got = find_orbit(Triangle(60, 60), CodeSequence([1, 1, 1]))

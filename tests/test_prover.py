@@ -1045,9 +1045,10 @@ class TestFilters:
                                   (), rows, 1)
             angles, values = prover._center_floats(
                 system, *to_homogeneous((F(x), F(y))))
-            cert = certify_square(system, Square(x, y, r), 7)
+            square = Square(x, y, r)
+            cert = certify_square(system, square, 7)
             return cert, hopeless(system, angles, values, 7,
-                                  prover._rad_per_degree(7)[0] * r)
+                                  prover._radians(square, 7)[0])
 
         lo, hi = F(0), F(60)
         while hi - lo > hi / 10 ** 10:
@@ -1099,10 +1100,11 @@ class TestFilters:
                                   (), rows, den)
             angles, values = prover._center_floats(
                 system, *to_homogeneous((x, F(30))))
-            cert = certify_square(system, Square(x, 30, r), 7)
+            square = Square(x, 30, r)
+            cert = certify_square(system, square, 7)
             return (cert.note == NO_PRECISION_PASSES,
                     hopeless(system, angles, values, 7,
-                             prover._rad_per_degree(7)[0] * r))
+                             prover._radians(square, 7)[0]))
 
         rng = random.Random(16)
         seen = collections.Counter()
@@ -1252,6 +1254,85 @@ class TestFilters:
     def test_line_system_takes_no_shared_cache(self, repeat_zx):
         with pytest.raises(ValueError, match="cache"):
             certify_square(repeat_zx, Square(30, 60, F(1, 2)), 7, {})
+
+
+class TestSeparationBoundaries:
+    """Each black-over-blue decision of ``certify_square`` and of its float
+    retry gate at its boundary, on chosen integers: a black value equal to
+    the blue one never passes, and it fails or gates."""
+
+    BLACK = ((("sin", 1, 0), 1),)
+    BLUE = ((("sin", 2, 0), 1),)
+
+    @pytest.mark.parametrize("black, blue, want", [
+        # the coefficient sweep: lo - 10 against hi + 10; at a tie the
+        # derivative sweep passes instead, 117 against 103
+        ((121, 130), (90, 100), ("pass", F(1, 10 ** 7), "")),
+        ((120, 130), (90, 100), ("pass", F(14, 10 ** 7), "")),
+        # the center test: hi against lo
+        ((80, 100), (100, 120), ("fail", None, CENTER_FAILS)),
+        ((80, 101), (100, 120), ("indeterminate", None, NO_PRECISION_PASSES)),
+        # the derivative sweep: lo - 3 against hi + 3
+        ((107, 130), (90, 100), ("pass", F(1, 10 ** 7), "")),
+        ((106, 130), (90, 100), ("indeterminate", None, "")),
+        # the integer retry gate: hi - 3 against lo + 3
+        ((80, 100), (94, 96), ("indeterminate", None, NO_PRECISION_PASSES)),
+        ((80, 101), (94, 96), ("indeterminate", None, "")),
+    ])
+    def test_certify_square(self, monkeypatch, black, blue, want):
+        # a black and a blue row whose sums are ``black`` and ``blue``, in
+        # grid units, with g = 10 and r * pi/180 taken as 10^-7 from both
+        # sides: each coefficient bump is 10, and each derivative part sums
+        # to 3 * 10^7 with its own bump, so each derivative bump is 3
+        scale = 10 ** 7
+        sums = {self.BLACK: black, self.BLUE: blue, (): (0, 0)}
+
+        def stub(terms, *args):
+            got = sums.get(terms)
+            return got or (3 * scale - gradient_sum(terms),) * 2
+
+        integer_gate_only(monkeypatch)
+        monkeypatch.setattr(prover, "_center_fails", lambda *args: False)
+        monkeypatch.setattr(prover, "sum_bounds", stub)
+        monkeypatch.setattr(prover, "_radians",
+                            lambda square, p: ((1, 10 ** p),) * 2)
+        polygon = types.SimpleNamespace(faces=(), is_empty=False)
+        rows = ((True, self.BLACK, 10), (False, self.BLUE, 10))
+        system = RegionSystem(None, None, "band", polygon, None, None, (),
+                              rows, 1)
+        cert = certify_square(system, Square(30, 30, 1), 7)
+        assert (cert.status, cert.margin, cert.note) == want
+
+    @staticmethod
+    def hopeless(black, blue, g, d):
+        """``_hopeless`` on a black and a blue row without terms, of float
+        values ``black`` and ``blue`` and no slack, with r * pi_lo/180
+        taken as 10^-7, so their ends are 10^7 times the values, their
+        coefficient bumps are g and their derivative bumps d."""
+        parts = ((0.0, 0.0, d * 10 ** 7), (0.0, 0.0, 0))
+        rows = tuple((is_black, (), (), 0.0, 0.0, g, parts)
+                     for is_black in (True, False))
+        system = types.SimpleNamespace(screen=((), rows), den=1)
+        return prover._hopeless(system, [], [black, blue], 7, (1, 10 ** 7))
+
+    def test_float_gate_needs_the_center_test_to_pass(self):
+        # (b): at equal values the exact center test may fail, so the
+        # gate stays off though the reaches would fire it; 2^-20 above,
+        # black reaches 10^7 + 4 and blue 10^7 + 5
+        assert not self.hopeless(1.0, 1.0, 5, 5)
+        assert self.hopeless(1.0 + 2 ** -20, 1.0, 5, 5)
+
+    @pytest.mark.parametrize("g, d, want", [
+        # the reaches with the coefficient bumps tie: the gate goes on
+        # to the derivative bumps, and there they tie again
+        (5 * 10 ** 6, 5 * 10 ** 6, True),
+        (5 * 10 ** 6 - 1, 5 * 10 ** 6, False),
+        # the derivative bumps alone decide
+        (6 * 10 ** 6, 5 * 10 ** 6, True),
+        (6 * 10 ** 6, 5 * 10 ** 6 - 1, False),
+    ])
+    def test_float_gate_reaches(self, g, d, want):
+        assert self.hopeless(2.0, 1.0, g, d) is want
 
 
 class TestTripleRule:

@@ -1,18 +1,20 @@
 import hashlib
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
 from billiardpath.classify import angle_bounding_polygon, classify_code
 from billiardpath.corpus import load_default_corpus
-from billiardpath.numeric import AffineForm, TrigPoly, simplify
+from billiardpath.numeric import AffineForm, Interval, TrigPoly, simplify
 from billiardpath.sequences import (CodeSequence, all_assignments,
                                     assign_angles, symbol_value, third_symbol)
-from billiardpath.tower import (FanAngleError, PrecisionError, ShapeError,
-                                SymbolicTower, convex_hull_separation,
-                                key_points, pruned_key_points,
+from billiardpath.tower import (BLACK, BLUE, FanAngleError, PrecisionError,
+                                ShapeError, SymbolicTower, _judge,
+                                convex_hull_separation, key_points,
+                                pruned_key_points, separation,
                                 symbolic_tower, unfold)
 from billiardpath.tower import test_I as band_test
 from billiardpath.tower import test_II as pruned_band_test
@@ -591,7 +593,10 @@ def test_scores_match_interval_products(precision):
         for p in sym.points:
             pxv = p.px.eval(x, y, precision)
             pyv = p.py.eval(x, y, precision)
-            assert tower.score(p) == div * pxv - civ * pyv
+            lo, hi, den = tower.score(p)
+            assert all(isinstance(v, int) for v in (lo, hi, den))
+            assert Interval(Fraction(lo, den), Fraction(hi, den)) == \
+                div * pxv - civ * pyv
 
 
 def test_vanishing_shooting_vector_raises_on_every_call():
@@ -616,3 +621,51 @@ def test_pruned_key_points_are_built_once():
     # neither rebuilds the list nor re-expands a score
     assert pruned_key_points(sym) is first
     assert not sym._scores
+
+
+def test_separation_takes_the_least_black_and_the_greatest_blue():
+    pairs = [(True, 5), (False, 2), (True, 3), (False, 4), (True, 7)]
+    assert separation(pairs) == (3, 4)
+    assert separation(iter(pairs)) == (3, 4)
+    assert separation([(False, Fraction(1, 2)), (True, Fraction(1, 3))]) \
+        == (Fraction(1, 3), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("pairs", [[], [(True, 1)], [(False, 1), (False, 2)]])
+def test_separation_needs_both_colors(pairs):
+    with pytest.raises(ValueError, match="both colors"):
+        separation(pairs)
+
+
+class _StubTower:
+    """What ``_judge`` reads of a tower: no closure violation, and each
+    point's integer score ends (lo, hi, den)."""
+
+    @staticmethod
+    def band_refuted():
+        return False
+
+    @staticmethod
+    def score(point):
+        return point.ends
+
+
+@pytest.mark.parametrize("black, blue, want", [
+    # ends over different denominators: least black lo 7/10, greatest
+    # blue hi 1/4
+    ([(7, 9, 10), (3, 5, 4)], [(1, 2, 8), (0, 1, 100)],
+     ("pass", Fraction(9, 20))),
+    ([(101, 300, 200)], [(1, 2, 4)], ("pass", Fraction(1, 200))),
+    # a tie, least black lo 1/2 equal to greatest blue hi, is no pass
+    ([(1, 3, 2)], [(1, 2, 4)], ("indeterminate", Fraction(0))),
+    # least black hi 1/2 equal to greatest blue lo fails; just above, not
+    ([(1, 2, 4)], [(4, 10, 8)], ("fail", Fraction(-1))),
+    ([(1, 2, 4)], [(3, 10, 8)], ("indeterminate", Fraction(-1))),
+])
+def test_judge_decides_on_integer_ends(black, blue, want):
+    points = [types.SimpleNamespace(color=color, ends=ends)
+              for color, group in ((BLACK, black), (BLUE, blue))
+              for ends in group]
+    got = _judge(_StubTower(), points)
+    assert (got.status, got.margin, got.blue_count, got.black_count) == \
+        (*want, len(blue), len(black))
