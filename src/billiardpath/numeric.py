@@ -14,10 +14,11 @@ the denominator and precision are fixed, so a caller may pass a memo keyed
 by that integer: ``cover`` keeps one per quadtree level and precision,
 where every square shares one denominator.  ``enclose_sin`` and
 ``enclose_cos`` wrap one result in an ``Interval``.  Every trig sum is
-evaluated by one rule, ``sum_bounds``: at a homogeneous integer point it
-adds up integer coefficients times kernel bounds, so ``TrigPoly.eval``, the
-towers and the prover's square certification all meet the same integers,
-and ``TrigPoly.eval`` builds one ``Interval`` at the end.
+evaluated in two steps at a homogeneous integer point: ``atom_bounds``
+takes each atom's kernel bounds, and ``dot_bounds`` adds up integer
+coefficients times them by the one signed rule.  ``TrigPoly.bounds``
+(behind ``TrigPoly.eval`` and the towers) and the prover's compiled rows
+meet the same integers; ``TrigPoly.eval`` builds one ``Interval``.
 
 A ``TrigPoly`` keeps its coefficients as integers over one common
 denominator in lowest terms.  Product-to-sum rewriting halves and
@@ -262,20 +263,16 @@ def enclose_cos(angle, precision: int = MIN_PRECISION) -> Interval:
     return enclose_sin(Fraction(angle) + 90, precision)
 
 
-def sum_bounds(terms, X: int, Y: int, W: int, precision: int,
-               cache: dict, memo: dict | None = None) -> tuple[int, int]:
-    """Bounds of  sum c * kind(m*x + n*y)  at the point (X/W, Y/W) degrees.
-
-    ``terms`` holds ((kind, m, n), c) pairs with integer ``c``; W > 0.  The
-    result is integers (lo, hi) times 10^-precision, rounded outward.  Each
-    argument goes to the kernel as the integer ratio (m*X + n*Y) / W, plus
-    90 degrees for a cosine.  ``cache`` maps (kind, m, n) to the kernel's
-    pair and belongs to one point and one precision.  On a cache miss the
-    kernel consults ``memo``, which belongs to one W and one precision and
-    may serve many points (see ``sin_scaled``).
-    """
-    lo = hi = 0
-    for key, c in terms:
+def atom_bounds(atoms, X: int, Y: int, W: int, precision: int,
+                cache: dict, memo: dict | None = None) -> list:
+    """Kernel pairs (lo, hi) of the atoms (kind, m, n) at the point
+    (X/W, Y/W) degrees, W > 0, in their order: ``sin_scaled`` of the ratio
+    (m*X + n*Y) / W, plus 90 degrees for a cosine.  ``cache`` maps atoms to
+    pairs and belongs to one point and precision; a miss calls the kernel
+    with ``memo``, which belongs to one W and precision (see
+    ``sin_scaled``)."""
+    out = []
+    for key in atoms:
         got = cache.get(key)
         if got is None:
             kind, m, n = key
@@ -283,12 +280,22 @@ def sum_bounds(terms, X: int, Y: int, W: int, precision: int,
             if kind == "cos":
                 num += 90 * W
             got = cache[key] = sin_scaled(num, W, precision, memo)
-        if c >= 0:
-            lo += c * got[0]
-            hi += c * got[1]
-        else:
-            lo += c * got[1]
-            hi += c * got[0]
+        out.append(got)
+    return out
+
+
+def dot_bounds(terms, bounds) -> tuple[int, int]:
+    """Integer ends (lo, hi) of  sum c * atom_i  over (i, c) pairs with
+    integer ``c``, ``bounds[i]`` being atom i's pair from ``atom_bounds``:
+    a negative ``c`` takes the pair's ends swapped, so the ends enclose
+    the sum as the pairs enclose the atoms."""
+    lo = hi = 0
+    for i, c in terms:
+        a, b = bounds[i]
+        if c < 0:
+            a, b = b, a
+        lo += c * a
+        hi += c * b
     return lo, hi
 
 
@@ -532,20 +539,26 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
+    def bounds(self, X: int, Y: int, W: int, precision: int,
+               cache: dict) -> tuple[int, int]:
+        """Integer ends (lo, hi) of the sum at (X/W, Y/W) degrees, in units
+        of 1/(den * 10^precision); ``cache`` is ``atom_bounds``' and may
+        serve every polynomial evaluated at that point and precision."""
+        bounds = atom_bounds(self.coeffs, X, Y, W, precision, cache)
+        return dot_bounds(enumerate(self.coeffs.values()), bounds)
+
     def eval(self, x, y, precision: int = MIN_PRECISION,
              cache: dict | None = None) -> Interval:
         """Interval enclosure of the sum at rational (x, y) degrees.
 
-        The integer sum comes from ``sum_bounds``; its endpoints are the
-        exact sums of the coefficients times the atoms' enclosures.
-        ``cache`` maps atom keys (kind, m, n) to the kernel's scaled
-        integer pairs, as ``sum_bounds`` keeps it, and must belong to one
-        fixed (x, y, precision) triple; share it across polynomials
-        evaluated at the same point, never across points.
+        The ends are ``bounds``' integers, the exact sums of the
+        coefficients times the atoms' enclosures.  ``cache`` is ``bounds``'
+        and must belong to one fixed (x, y, precision) triple; share it
+        across polynomials evaluated at the same point, never across points.
         """
         X, Y, W = to_homogeneous((x, y))
-        lo, hi = sum_bounds(self.coeffs.items(), X, Y, W, precision,
-                            {} if cache is None else cache)
+        lo, hi = self.bounds(X, Y, W, precision,
+                             {} if cache is None else cache)
         s = self.den * 10 ** precision
         return Interval(Fraction(lo, s), Fraction(hi, s))
 

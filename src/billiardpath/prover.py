@@ -3,7 +3,7 @@
 A region system packages, for one code under one letter assignment,
 everything needed to certify axis-aligned squares: the convex bounding
 polygon, the unstable line when there is one, and the turning scores of the
-retained key points compiled to rows of integer sine and cosine terms.
+retained key points compiled to one table of atoms and score rows.
 ``certify_square`` runs the gradient step on one square, ``cover`` drives
 a quadtree over a target polygon until every piece is certified or the
 depth budget runs out, ``triple_rule`` closes squares that straddle an
@@ -23,8 +23,8 @@ box when the greatest is nonnegative on its sides.  It overlaps the convex
 target in positive area when the greatest is positive on every target
 edge line and box side: by the separating axis theorem, convex polygons
 with disjoint interiors are parted by a line along an edge of one of them.
-Each row is summed by the one trig-sum rule ``numeric.sum_bounds`` with
-the center as (X, Y, W), each sweep bump is an integer times r*pi/180,
+Each row is summed by ``numeric.dot_bounds`` on its atoms' kernel bounds
+at the center (X, Y, W), each sweep bump is an integer times r*pi/180,
 held as an integer ratio, rounded by one integer division, and every
 black-over-blue decision is the band test's ``tower.separation``: on a
 band system the only ``Fraction`` built is a pass's margin.
@@ -48,14 +48,15 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .classify import (angle_bounding_polygon, corner_box, is_stable,
                        line_region)
 from .geometry import (line_segment_in_halfplanes, polygon_area2,
                        polygon_bbox, segment_midpoint, to_homogeneous)
-from .numeric import (MIN_PRECISION, TrigPoly, gradient_sum, pi_enclosure,
-                      sum_bounds)
+from .numeric import (MIN_PRECISION, TrigPoly, atom_bounds, dot_bounds,
+                      gradient_sum, pi_enclosure)
 from .sequences import CodeSequence, all_assignments
 from .tower import BLACK, pruned_key_points, separation, symbolic_tower
 
@@ -165,26 +166,35 @@ class Certificate:
         return f"Certificate({self.status}, margin={self.margin}{tail})"
 
 
+# A compiled score row and one of its two derivative parts; see
+# ``RegionSystem``.
+Row = namedtuple("Row", "is_black terms floats weight err g parts")
+Part = namedtuple("Part", "terms weight err g2")
+
+
 class RegionSystem:
     """Square-certification data for one code under one assignment.
 
     ``kind`` is "band" for stable codes and "line" for unstable ones; a
     line system certifies only the piece of its line inside a square.
-    ``rows`` hold the key-point scores as (is_black, terms, g): ``terms``
-    are ((kind, m, n), c) pairs with integer ``c`` for ``numeric.sum_bounds``
-    and ``g`` is their gradient sum.  Every row shares one positive
-    denominator ``den`` so sign comparisons need no further scaling.
-    ``screen`` holds the same rows for the float filters of
-    ``certify_square``: the distinct atoms, then per row (is_black, atom
-    indices, float coefficients c/den, weight sum |c|/den, float-error
-    slack, g, parts), the two parts being the weight sum |c*m|/den (|c*n|
-    /den), float-error slack and gradient sum g2 of the d/dx (d/dy) rows
-    of ``deriv_rows``.  ``witness`` is the (black, blue) pair of row
-    indices that decided the screen's last "center fails", or None.
+    The key-point scores arrive as ``rows`` of (is_black, terms), ``terms``
+    being ((kind, m, n), c) pairs with integer ``c`` over one positive
+    denominator ``den``, and are compiled once into the table every
+    evaluation reads: the sorted distinct ``atoms``, and per score a
+    ``Row`` of ``rows``: ``terms`` its (atom index, c) pairs in the given
+    order, ``floats`` the same with the doubles c/den, ``weight`` sum
+    |c|/den, ``err`` the float-error slack (see ``certify_square``), ``g``
+    the gradient sum, and ``parts`` its d/dx and d/dy times 180/pi.  A
+    ``Part``'s ``terms`` are (atom index, c*m) (c*n) pairs on the atoms'
+    ``partners``, zero products dropped: c*sin(m*x + n*y) differentiates
+    to c*m * cos(m*x + n*y), a cosine to -c*m times the sine, and the
+    constant cos(0) is its own partner.  ``witness`` is the (black, blue)
+    pair of row indices that decided the float screen's last "center
+    fails", or None.
     """
 
     __slots__ = ("code", "asg", "kind", "polygon", "line", "sym", "keys",
-                 "rows", "den", "screen", "witness", "_deriv")
+                 "den", "atoms", "partners", "rows", "witness")
 
     def __init__(self, code, asg, kind, polygon, line, sym, keys, rows, den):
         self.code = code
@@ -194,43 +204,22 @@ class RegionSystem:
         self.line = line
         self.sym = sym
         self.keys = keys
-        self.rows = rows
         self.den = den
-        self.screen = _screen_rows(rows, den)
+        self.atoms = tuple(sorted({key for _, terms in rows
+                                   for key, _ in terms}))
+        self.partners = tuple(("cos" if k == "sin" else "sin", m, n)
+                              if m or n else (k, m, n)
+                              for k, m, n in self.atoms)
+        index = {key: i for i, key in enumerate(self.atoms)}
+        self.rows = tuple(_compile_row(is_black, terms, index, den)
+                          for is_black, terms in rows)
         self.witness = None
-        self._deriv = None
 
     @property
     def empty(self) -> bool:
         if self.kind == "line":
             return self.line is None or self.line.segment is None
         return self.polygon.is_empty
-
-    def deriv_rows(self):
-        """Per-row x and y derivative polynomials, compiled like ``rows``.
-
-        Differentiating c*sin(m*x + n*y) in degree units gives
-        (pi/180) * c*m * cos(m*x + n*y), so each part reuses the same
-        angle arguments with the kinds swapped; the pi/180 stays with the
-        caller.  Built on first use: only squares that the plain
-        coefficient sweep cannot decide ever need these.
-        """
-        if self._deriv is None:
-            rows = []
-            for _, terms, _ in self.rows:
-                parts = []
-                for sel in (1, 2):  # m for d/dx, n for d/dy
-                    dterms = []
-                    for key, c in terms:
-                        k, m, n = key
-                        f = key[sel]
-                        if f:
-                            dterms.append((("cos", m, n), c * f) if k == "sin"
-                                          else (("sin", m, n), -c * f))
-                    parts.append((tuple(dterms), gradient_sum(dterms)))
-                rows.append(tuple(parts))
-            self._deriv = tuple(rows)
-        return self._deriv
 
     def pair_polys(self):
         """Black-minus-blue score differences, positive where the code
@@ -246,6 +235,28 @@ class RegionSystem:
     def __repr__(self):
         letters = self.asg.symbol(1) + self.asg.symbol(2)
         return f"RegionSystem({self.code}, {letters}, {self.kind})"
+
+
+# Float error of one row's double sum per unit of sum |c|/den, per term;
+# see ``certify_square`` for the derivation and its safety factor.
+_FLOAT_ERR = 2.0 ** -44
+_RAD = math.pi / 180
+
+
+def _compile_row(is_black, terms, index, den) -> Row:
+    """A ``Row`` of ((kind, m, n), c) terms, kept in their order."""
+    k = len(terms) + 64
+    parts = []
+    for sel in (1, 2):  # m for d/dx, n for d/dy
+        dterms = [(key, c * key[sel] if key[0] == "sin" else -c * key[sel])
+                  for key, c in terms]
+        w = sum(abs(c) for _, c in dterms) / den
+        parts.append(Part([(index[key], c) for key, c in dterms if c], w,
+                          w * k * _FLOAT_ERR, gradient_sum(dterms)))
+    w = sum(abs(c) for _, c in terms) / den
+    return Row(is_black, [(index[key], c) for key, c in terms],
+               [(index[key], c / den) for key, c in terms], w,
+               w * k * _FLOAT_ERR, gradient_sum(terms), tuple(parts))
 
 
 def region_system(code: CodeSequence, asg=None) -> RegionSystem:
@@ -270,38 +281,11 @@ def region_system(code: CodeSequence, asg=None) -> RegionSystem:
     polys = [sym.score_poly(p) for p in keys]
     # the scores' denominators are powers of two; one common multiple
     den = math.lcm(*(sp.den for sp in polys))
-    rows = []
-    for p, sp in zip(keys, polys):
-        scale = den // sp.den
-        terms = tuple((key, c * scale) for key, c in sorted(sp.coeffs.items()))
-        rows.append((p.color == BLACK, terms, gradient_sum(terms)))
+    rows = [(p.color == BLACK, [(key, c * (den // sp.den))
+                                for key, c in sorted(sp.coeffs.items())])
+            for p, sp in zip(keys, polys)]
     sym._scores.clear()
-    return RegionSystem(code, asg, kind, polygon, line, sym, keys,
-                        tuple(rows), den)
-
-
-# Float error of one screened row per unit of sum |c|/den, per term; see
-# ``certify_square`` for the derivation and its safety factor.
-_FLOAT_ERR = 2.0 ** -44
-_RAD = math.pi / 180
-
-
-def _screen_rows(rows, den):
-    atoms = sorted({key for _, terms, _ in rows for key, _ in terms})
-    index = {key: i for i, key in enumerate(atoms)}
-    out = []
-    for is_black, terms, g in rows:
-        k = len(terms) + 64
-        parts = []
-        for sel in (1, 2):  # m for d/dx, n for d/dy
-            dterms = [(key, c * key[sel]) for key, c in terms]
-            w = sum(abs(c) for _, c in dterms) / den
-            parts.append((w, w * k * _FLOAT_ERR, gradient_sum(dterms)))
-        w = sum(abs(c) for _, c in terms) / den
-        out.append((is_black, tuple(index[key] for key, _ in terms),
-                    tuple(c / den for _, c in terms), w, w * k * _FLOAT_ERR,
-                    g, tuple(parts)))
-    return tuple(atoms), tuple(out)
+    return RegionSystem(code, asg, kind, polygon, line, sym, keys, rows, den)
 
 
 _PI_GRID: dict = {}
@@ -346,13 +330,12 @@ def _center_floats(system: RegionSystem, X: int, Y: int, W: int):
     cosine atom carries its 90 degrees in the angle, so the sine of every
     angle is the atom and its cosine the atom's derivative factor.
     """
-    atoms, rows = system.screen
-    angles = [_atom_angle(atom, X, Y, W) for atom in atoms]
+    angles = [_atom_angle(atom, X, Y, W) for atom in system.atoms]
     sines = [math.sin(a) for a in angles]
     values = []
-    for row in rows:
+    for row in system.rows:
         f = 0.0
-        for i, c in zip(row[1], row[2]):
+        for i, c in row.floats:
             f += c * sines[i]
         values.append(f)
     return angles, values
@@ -368,10 +351,9 @@ def _center_fails(system: RegionSystem, values, precision: int) -> bool:
     """
     grid = 2 / 10 ** precision
     black = blue = None  # (bound, row index)
-    for k, ((is_black, _, _, weight, err, _, _), f) in enumerate(
-            zip(system.screen[1], values)):
-        slack = weight * grid + err
-        if is_black:
+    for k, (row, f) in enumerate(zip(system.rows, values)):
+        slack = row.weight * grid + row.err
+        if row.is_black:
             if black is None or f + slack < black[0]:
                 black = (f + slack, k)
         elif blue is None or f - slack > blue[0]:
@@ -389,15 +371,14 @@ def _witness_fails(system: RegionSystem, X: int, Y: int, W: int,
     ``_center_fails`` would be True (see ``certify_square``)."""
     if system.witness is None:
         return False
-    atoms, rows = system.screen
     grid = 2 / 10 ** precision
 
     def value_and_slack(k):
-        _, indices, coeffs, weight, err, _, _ = rows[k]
+        row = system.rows[k]
         f = 0.0
-        for i, c in zip(indices, coeffs):
-            f += c * math.sin(_atom_angle(atoms[i], X, Y, W))
-        return f, weight * grid + err
+        for i, c in row.floats:
+            f += c * math.sin(_atom_angle(system.atoms[i], X, Y, W))
+        return f, row.weight * grid + row.err
 
     (black, black_slack), (blue, blue_slack) = map(value_and_slack,
                                                    system.witness)
@@ -415,26 +396,27 @@ def _hopeless(system: RegionSystem, angles, values, precision: int,
     """Float retry gate: True only where the exact path returns
     "indeterminate" with note ``NO_PRECISION_PASSES``; conditions (a) to
     (c) of ``certify_square``.  ``rad_lo`` is ``_radians``' lower ratio."""
-    atoms, rows = system.screen
+    rows = system.rows
     scale = 10 ** precision
     unit = system.den * scale  # the exact bounds count in 1/unit
     grid = 2 / scale
     # (b): the exact center test does not fail
-    black, blue = separation((row[0], f - row[4] if row[0] else f + row[4])
-                             for row, f in zip(rows, values))
+    black, blue = separation(
+        (row.is_black, f - row.err if row.is_black else f + row.err)
+        for row, f in zip(rows, values))
     if black <= blue:
         return False
     # (a): per row, N * (f + slack) floored for a black row and
     # N * (f - slack) ceiled for a blue one, and the coefficient bump
     ends, bumps = [], []
-    for (is_black, _, _, weight, err, g, _), f in zip(rows, values):
-        slack = weight * grid + err
-        ends.append(_floor_float(f + slack, unit) if is_black
+    for row, f in zip(rows, values):
+        slack = row.weight * grid + row.err
+        ends.append(_floor_float(f + slack, unit) if row.is_black
                     else -_floor_float(slack - f, unit))
-        bumps.append(_floor_times(rad_lo, scale * g))
+        bumps.append(_floor_times(rad_lo, scale * row.g))
 
     def reaches():
-        return separation((row[0], e - b if row[0] else e + b)
+        return separation((row.is_black, e - b if row.is_black else e + b)
                           for row, e, b in zip(rows, ends, bumps))
 
     # first with the coefficient bumps, the most L can be: a square that
@@ -444,21 +426,23 @@ def _hopeless(system: RegionSystem, angles, values, precision: int,
     if black_reach > blue_reach:
         return False
     cosines = [math.cos(a) for a in angles]
-    xs = [m * c for (_, m, _), c in zip(atoms, cosines)]
-    ys = [n * c for (_, _, n), c in zip(atoms, cosines)]
+    xs = [m * c for (_, m, _), c in zip(system.atoms, cosines)]
+    ys = [n * c for (_, _, n), c in zip(system.atoms, cosines)]
     for k, row in enumerate(rows):
-        if (ends[k] - bumps[k] > blue_reach if row[0]
+        if (ends[k] - bumps[k] > blue_reach if row.is_black
                 else ends[k] + bumps[k] < black_reach):
             continue
+        # the row's own doubles c/den over all of its terms, times m*cos
+        # (n*cos), as the slack's derivation assumes
         fx = fy = 0.0
-        for i, c in zip(row[1], row[2]):
+        for i, c in row.floats:
             fx += c * xs[i]
             fy += c * ys[i]
         dist = 0
-        for f, (weight, err, g2) in zip((fx, fy), row[6]):
-            gap = max(abs(f) - (weight * grid + err), 0.0)
+        for f, part in zip((fx, fy), row.parts):
+            gap = max(abs(f) - (part.weight * grid + part.err), 0.0)
             dist += _floor_float(gap, unit) + _floor_times(rad_lo,
-                                                           scale * g2)
+                                                           scale * part.g2)
         bumps[k] = min(bumps[k], _floor_times(rad_lo, dist))
     black_reach, blue_reach = reaches()
     return black_reach <= blue_reach
@@ -615,15 +599,16 @@ def certify_square(system: RegionSystem, square: Square,
     if cache is None:
         cache = {}
     scale = 10 ** precision
+    bounds = atom_bounds(system.atoms, X, Y, W, precision, cache, memo)
     evals = []
-    for is_black, terms, g in system.rows:
-        lo, hi = sum_bounds(terms, X, Y, W, precision, cache, memo)
-        evals.append((is_black, lo, hi, _ceil_times(rad, scale * g), g))
+    for row in system.rows:
+        lo, hi = dot_bounds(row.terms, bounds)
+        evals.append((row.is_black, lo, hi, _ceil_times(rad, scale * row.g)))
     black, blue = separation((b, lo - bump if b else hi + bump)
-                             for b, lo, hi, bump, _ in evals)
+                             for b, lo, hi, bump in evals)
     if black > blue:
         return Certificate("pass", Fraction(black - blue, system.den * scale))
-    black, blue = separation((b, hi if b else lo) for b, lo, hi, _, _ in evals)
+    black, blue = separation((b, hi if b else lo) for b, lo, hi, _ in evals)
     if black <= blue:
         return Certificate("fail", note=CENTER_FAILS)
     # The coefficient-sum sweep was too pessimistic.  Bound the score
@@ -633,15 +618,16 @@ def certify_square(system: RegionSystem, square: Square,
     # derivative's own coefficient-sum sweep.  Never looser than the plain
     # bump, so passes already issued are unaffected.  ``reach`` is the
     # retry gate's: no precision sweeps less than r * pi_lo/180.
+    bounds = atom_bounds(system.partners, X, Y, W, precision, cache, memo)
     swept, reach = [], []
-    for (is_black, lo, hi, bump, g), parts in zip(evals, system.deriv_rows()):
+    for (is_black, lo, hi, bump), row in zip(evals, system.rows):
         sup = dist = 0
-        for dterms, g2 in parts:
-            dlo, dhi = sum_bounds(dterms, X, Y, W, precision, cache, memo)
-            sup += max(abs(dlo), abs(dhi)) + _ceil_times(rad, scale * g2)
-            dist += max(dlo, -dhi, 0) + _floor_times(rad_lo, scale * g2)
+        for part in row.parts:
+            dlo, dhi = dot_bounds(part.terms, bounds)
+            sup += max(abs(dlo), abs(dhi)) + _ceil_times(rad, scale * part.g2)
+            dist += max(dlo, -dhi, 0) + _floor_times(rad_lo, scale * part.g2)
         bump2 = min(bump, _ceil_times(rad, sup))
-        bump_lo = min(_floor_times(rad_lo, scale * g),
+        bump_lo = min(_floor_times(rad_lo, scale * row.g),
                       _floor_times(rad_lo, dist))
         swept.append((is_black, lo - bump2 if is_black else hi + bump2))
         reach.append((is_black, hi - bump_lo if is_black else lo + bump_lo))

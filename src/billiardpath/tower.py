@@ -15,8 +15,9 @@ point its fan's center plus one, and a turning score is its base point's
 score plus the product of that one step with the shooting vector.  Angles
 are the integer triples (ax, ay, q) of ``SYMBOL_FORMS``, for ax*x + ay*y +
 q*90 degrees, passed to ``simplify`` as atoms.  ``Tower.score`` forms
-d*px - c*py as integer ends from those that ``sum_bounds`` gives, and the
-tests decide on them by ``separation``, as ``prover.certify_square`` does.
+d*px - c*py as integer ends from those that ``TrigPoly.bounds`` gives, and
+the tests decide on them by ``separation``, as ``prover.certify_square``
+does.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 from .classify import palindromic_pivots, solve_theta
 from .geometry import to_homogeneous
-from .numeric import MIN_PRECISION, Interval, TrigPoly, simplify, sum_bounds
+from .numeric import MIN_PRECISION, Interval, TrigPoly, simplify
 from .sequences import (
     SYMBOL_FORMS,
     AngleAssignment,
@@ -333,9 +334,7 @@ class Tower:
 
     def _ends(self, poly: TrigPoly):
         """(lo, hi, den): the sum lies in [lo, hi] / (den * 10^precision)."""
-        X, Y, W = self._hom
-        lo, hi = sum_bounds(poly.coeffs.items(), X, Y, W, self.precision,
-                            self._cache)
+        lo, hi = poly.bounds(*self._hom, self.precision, self._cache)
         return lo, hi, poly.den
 
     def _shooting_ends(self):

@@ -7,6 +7,7 @@ sample points, before being frozen here.
 """
 
 import collections
+import functools
 import gc
 import hashlib
 import random
@@ -21,8 +22,8 @@ from billiardpath.classify import (angle_bounding_polygon, classify_code,
 from billiardpath.corpus import load_default_corpus
 from billiardpath.geometry import (clip_polygon, polygon_area2, polygon_bbox,
                                    segment_midpoint, to_homogeneous)
-from billiardpath.numeric import (gradient_sum, pi_enclosure, sin_scaled,
-                                  sum_bounds)
+from billiardpath.numeric import (atom_bounds, dot_bounds, gradient_sum,
+                                  pi_enclosure, sin_scaled)
 from billiardpath.prover import (
     CENTER_FAILS,
     NO_PRECISION_PASSES,
@@ -46,7 +47,7 @@ from billiardpath.prover import (
     triple_rule,
 )
 from billiardpath.sequences import CodeSequence, all_assignments, assign_angles
-from billiardpath.tower import test_II as pruned_band_test, unfold
+from billiardpath.tower import BLACK, test_II as pruned_band_test, unfold
 
 F = Fraction
 
@@ -72,6 +73,48 @@ def _ceil_times(q, k):
     return -((-k * q.numerator) // q.denominator)
 
 
+def reference_derivatives(terms):
+    """d/dx and d/dy of ((kind, m, n), c) terms in degree units, times
+    180/pi, each as (terms, gradient sum): c*sin(m*x + n*y) gives
+    c*m * cos(m*x + n*y), the angle arguments kept and the kinds swapped,
+    and zero products are dropped."""
+    parts = []
+    for sel in (1, 2):  # m for d/dx, n for d/dy
+        dterms = []
+        for key, c in terms:
+            k, m, n = key
+            f = key[sel]
+            if f:
+                dterms.append((("cos", m, n), c * f) if k == "sin"
+                              else (("sin", m, n), -c * f))
+        parts.append((tuple(dterms), gradient_sum(dterms)))
+    return tuple(parts)
+
+
+@functools.cache
+def reference_rows(system):
+    """The system's scores as (is_black, terms, g, parts) rows, rebuilt
+    from its symbolic tower without its compiled table: ``terms`` are
+    ((kind, m, n), c) pairs scaled to ``system.den``, ``g`` their gradient
+    sum and ``parts`` their ``reference_derivatives``."""
+    rows = []
+    for p in system.keys:
+        sp = system.sym.score_poly(p)
+        terms = tuple((key, c * (system.den // sp.den))
+                      for key, c in sorted(sp.coeffs.items()))
+        rows.append((p.color == BLACK, terms, gradient_sum(terms),
+                     reference_derivatives(terms)))
+    system.sym._scores.clear()
+    return tuple(rows)
+
+
+def term_bounds(terms, X, Y, W, precision, cache):
+    """Integer bounds of ((kind, m, n), c) terms at (X/W, Y/W)."""
+    bounds = atom_bounds([key for key, _ in terms], X, Y, W, precision,
+                         cache)
+    return dot_bounds(enumerate(c for _, c in terms), bounds)
+
+
 def reference_certify(system, square, precision=7):
     """``certify_square`` as it was before its float screen and retry gate:
     every verdict from the exact integers alone."""
@@ -94,8 +137,9 @@ def reference_certify(system, square, precision=7):
     black_min = blue_max = None
     black_hi_min = blue_lo_max = None
     evals = []
-    for is_black, terms, g in system.rows:
-        lo, hi = sum_bounds(terms, X, Y, W, precision, cache)
+    rows = reference_rows(system)
+    for is_black, terms, g, _ in rows:
+        lo, hi = term_bounds(terms, X, Y, W, precision, cache)
         bump = _ceil_times(base, g)
         evals.append((is_black, lo, hi, bump))
         if is_black:
@@ -117,13 +161,12 @@ def reference_certify(system, square, precision=7):
         return Certificate("pass", margin)
     if black_hi_min <= blue_lo_max:
         return Certificate("fail", note="center fails the turning test")
-    drows = system.deriv_rows()
     rad = pi_enclosure(precision).hi / 180 * square.r
     black_min = blue_max = None
-    for (is_black, lo, hi, bump), parts in zip(evals, drows):
+    for (is_black, lo, hi, bump), row in zip(evals, rows):
         sup = 0
-        for dterms, g2 in parts:
-            dlo, dhi = sum_bounds(dterms, X, Y, W, precision, cache)
+        for dterms, g2 in row[3]:
+            dlo, dhi = term_bounds(dterms, X, Y, W, precision, cache)
             sup += max(abs(dlo), abs(dhi)) + _ceil_times(base, g2)
         bump2 = min(bump, _ceil_times(rad, sup))
         if is_black:
@@ -378,14 +421,15 @@ class TestRegionSystem:
         assert orthic.line is None
         assert (orthic.asg.symbol(1), orthic.asg.symbol(2)) == ("X", "Y")
         assert len(orthic.rows) == 6
-        assert sorted({row[0] for row in orthic.rows}) == [False, True]
+        assert sorted({row.is_black for row in orthic.rows}) == [False, True]
         assert orthic.den == 1
-        assert {key for _, terms, _ in orthic.rows for key, _ in terms} == {
+        assert set(orthic.atoms) == {
             ("cos", 0, 0), ("cos", 0, 2), ("cos", 2, 2), ("cos", 2, 0)}
-        for _, terms, g in orthic.rows:
-            assert all(isinstance(c, int) and c for _, c in terms)
-            assert g == sum(abs(c) * (abs(m) + abs(n))
-                            for (_, m, n), c in terms)
+        for row in orthic.rows:
+            assert all(isinstance(c, int) and c for _, c in row.terms)
+            assert row.g == sum(abs(c) * (abs(m) + abs(n))
+                                for i, c in row.terms
+                                for _, m, n in [orthic.atoms[i]])
 
     def test_unstable_compiles_to_line(self, repeat_zx):
         assert repeat_zx.kind == "line"
@@ -974,17 +1018,50 @@ class TestFilters:
             marked += want.note == NO_PRECISION_PASSES
         assert marked == screened["_hopeless", True] == gated
 
-    def test_float_derivative_rows_mirror_the_exact_ones(self):
+    def test_compiled_rows_match_the_reference_terms(self, repeat_zx):
+        # at seeded centers, each compiled row and both of its derivative
+        # parts, summed on the atoms' and the partners' kernel bounds, give
+        # the integers of the reference term rows; the doubles, weights
+        # and gradient sums are the reference's too
         corpus = load_default_corpus()
-        for system in [region_system(corpus[i].code) for i in DEEP_CODES]:
-            for row, screen, exact in zip(system.rows, system.screen[1],
-                                          system.deriv_rows()):
-                assert screen[5] == row[2]
-                for (weight, _, g2), (dterms, want_g2) in \
-                        zip(screen[6], exact):
-                    assert g2 == want_g2
-                    assert weight == \
+        systems = [region_system(corpus[i].code) for i in DEEP_CODES]
+        systems += [region_system(ORTHIC), repeat_zx]
+        rng = random.Random(21)
+        centers = []
+        for _ in range(8):
+            den = rng.choice((1, 8, 2 ** 20, 99991))
+            centers.append((F(rng.randrange(1, 90 * den), den),
+                            F(rng.randrange(1, 90 * den), den)))
+        for system in systems:
+            rows = reference_rows(system)
+            assert len(system.rows) == len(rows)
+            for row, (is_black, terms, g, parts) in zip(system.rows, rows):
+                assert row.is_black == is_black
+                assert [system.atoms[i] for i, _ in row.terms] == \
+                    [key for key, _ in terms]
+                assert [c for _, c in row.floats] == \
+                    [c / system.den for _, c in terms]
+                assert row.weight == \
+                    sum(abs(c) for _, c in terms) / system.den
+                assert row.g == g
+                for part, (dterms, g2) in zip(row.parts, parts):
+                    assert part.g2 == g2
+                    assert part.weight == \
                         sum(abs(c) for _, c in dterms) / system.den
+            for x, y in centers:
+                X, Y, W = to_homogeneous((x, y))
+                for precision in (7, 14):
+                    cache = {}
+                    values = atom_bounds(system.atoms, X, Y, W, precision,
+                                         cache)
+                    partners = atom_bounds(system.partners, X, Y, W,
+                                           precision, cache)
+                    for row, (_, terms, _, parts) in zip(system.rows, rows):
+                        assert dot_bounds(row.terms, values) == term_bounds(
+                            terms, X, Y, W, precision, {}), (system, x, y)
+                        for part, (dterms, _) in zip(row.parts, parts):
+                            assert dot_bounds(part.terms, partners) == \
+                                term_bounds(dterms, X, Y, W, precision, {})
 
     def test_float_gate_never_marks_what_passes_or_fails(self, monkeypatch):
         # seeded squares in corpus systems' polygons, half sides from
@@ -1039,8 +1116,7 @@ class TestFilters:
 
         def gate(gap, x, y, r):
             blue = black + ((("cos", 0, 0), -gap),)
-            rows = tuple((is_black, terms, gradient_sum(terms))
-                         for is_black, terms in ((True, black), (False, blue)))
+            rows = ((True, black), (False, blue))
             system = RegionSystem(None, None, "band", polygon, None, None,
                                   (), rows, 1)
             angles, values = prover._center_floats(
@@ -1094,8 +1170,7 @@ class TestFilters:
 
         def gate(x, k):
             blue = ((("cos", 0, 0), k),)
-            rows = tuple((is_black, terms, gradient_sum(terms))
-                         for is_black, terms in ((True, black), (False, blue)))
+            rows = ((True, black), (False, blue))
             system = RegionSystem(None, None, "band", polygon, None, None,
                                   (), rows, den)
             angles, values = prover._center_floats(
@@ -1168,11 +1243,12 @@ class TestFilters:
                                                     precision)
                     seen[screened] += 1
                     if screened:
-                        black = [sum_bounds(terms, X, Y, W, precision, {})
-                                 for is_black, terms, _ in system.rows
+                        rows = reference_rows(system)
+                        black = [term_bounds(terms, X, Y, W, precision, {})
+                                 for is_black, terms, _, _ in rows
                                  if is_black]
-                        blue = [sum_bounds(terms, X, Y, W, precision, {})
-                                for is_black, terms, _ in system.rows
+                        blue = [term_bounds(terms, X, Y, W, precision, {})
+                                for is_black, terms, _, _ in rows
                                 if not is_black]
                         assert min(hi for _, hi in black) <= \
                             max(lo for lo, _ in blue), (system, x, y)
@@ -1190,11 +1266,11 @@ class TestFilters:
             gap = 2 ** (40 - shift)  # 2^-shift of a unit
             black = ((("sin", 1, 0), den), (("cos", 1, 1), -den))
             blue = black + ((("cos", 0, 0), gap),)
-            rows = ((True, black, 0), (False, blue, 0))
+            rows = ((True, black), (False, blue))
             system = RegionSystem(None, None, "band", None, None, None, (),
                                   rows, den)
-            lo_hi = [sum_bounds(terms, X, Y, W, precision, {})
-                     for _, terms, _ in rows]
+            lo_hi = [term_bounds(terms, X, Y, W, precision, {})
+                     for _, terms in rows]
             exact = lo_hi[0][1] <= lo_hi[1][0]
             _, values = prover._center_floats(system, X, Y, W)
             screened[shift] = prover._center_fails(system, values,
@@ -1283,23 +1359,28 @@ class TestSeparationBoundaries:
         # a black and a blue row whose sums are ``black`` and ``blue``, in
         # grid units, with g = 10 and r * pi/180 taken as 10^-7 from both
         # sides: each coefficient bump is 10, and each derivative part sums
-        # to 3 * 10^7 with its own bump, so each derivative bump is 3
+        # to 3 * 10^7 with its own bump, so each derivative bump is 3.
+        # The kernel bounds are chosen to give those sums: d/dx of
+        # c*sin(m*x) is c*m times its partner cos(m*x), with gradient sum
+        # c*m*m, and d/dy is empty
         scale = 10 ** 7
-        sums = {self.BLACK: black, self.BLUE: blue, (): (0, 0)}
+        kernel = {("sin", 1, 0): black, ("sin", 2, 0): blue,
+                  ("cos", 1, 0): (3 * scale - 1,) * 2,
+                  ("cos", 2, 0): ((3 * scale - 4) // 2,) * 2}
 
-        def stub(terms, *args):
-            got = sums.get(terms)
-            return got or (3 * scale - gradient_sum(terms),) * 2
+        def stub(atoms, *args):
+            return [kernel[key] for key in atoms]
 
         integer_gate_only(monkeypatch)
         monkeypatch.setattr(prover, "_center_fails", lambda *args: False)
-        monkeypatch.setattr(prover, "sum_bounds", stub)
+        monkeypatch.setattr(prover, "atom_bounds", stub)
         monkeypatch.setattr(prover, "_radians",
                             lambda square, p: ((1, 10 ** p),) * 2)
         polygon = types.SimpleNamespace(faces=(), is_empty=False)
-        rows = ((True, self.BLACK, 10), (False, self.BLUE, 10))
+        rows = ((True, self.BLACK), (False, self.BLUE))
         system = RegionSystem(None, None, "band", polygon, None, None, (),
                               rows, 1)
+        system.rows = tuple(row._replace(g=10) for row in system.rows)
         cert = certify_square(system, Square(30, 30, 1), 7)
         assert (cert.status, cert.margin, cert.note) == want
 
@@ -1309,10 +1390,11 @@ class TestSeparationBoundaries:
         values ``black`` and ``blue`` and no slack, with r * pi_lo/180
         taken as 10^-7, so their ends are 10^7 times the values, their
         coefficient bumps are g and their derivative bumps d."""
-        parts = ((0.0, 0.0, d * 10 ** 7), (0.0, 0.0, 0))
-        rows = tuple((is_black, (), (), 0.0, 0.0, g, parts)
+        parts = (prover.Part([], 0.0, 0.0, d * 10 ** 7),
+                 prover.Part([], 0.0, 0.0, 0))
+        rows = tuple(prover.Row(is_black, [], [], 0.0, 0.0, g, parts)
                      for is_black in (True, False))
-        system = types.SimpleNamespace(screen=((), rows), den=1)
+        system = types.SimpleNamespace(atoms=(), rows=rows, den=1)
         return prover._hopeless(system, [], [black, blue], 7, (1, 10 ** 7))
 
     def test_float_gate_needs_the_center_test_to_pass(self):
