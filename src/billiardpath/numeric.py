@@ -2,8 +2,10 @@
 
 Angles are rational numbers of degrees throughout.  Radians appear only
 inside the sine and cosine enclosures, which scale by a rational bracket of
-pi; nothing in this module touches floating point, and there is no interval
-division anywhere.
+pi; nothing in this module's exact arithmetic touches floating point, and
+there is no interval division anywhere.  The one float rule, ``atom_angle``,
+takes an atom to a double for the float screens that only ever skip exact
+work (the prover's screen and the towers' pruning probe).
 
 The enclosure kernel ``sin_scaled`` takes an angle as an integer ratio and
 returns integers on the 10^-precision grid: ``fold_degrees`` folds it into
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, pi
 
 from .geometry import to_homogeneous
 
@@ -297,6 +299,22 @@ def dot_bounds(terms, bounds) -> tuple[int, int]:
         lo += c * a
         hi += c * b
     return lo, hi
+
+
+_RAD = pi / 180
+
+
+def atom_angle(atom, X: int, Y: int, W: int) -> float:
+    """An atom's angle at (X/W, Y/W) degrees, W > 0, in radians: reduced
+    modulo 360 degrees on integers and taken to a double by one rounded
+    division, so its sine is the atom (a cosine carries its 90 degrees)
+    and its cosine the atom's derivative factor.  The error is at most
+    26 * 2^-53 radians (see ``prover.certify_square``)."""
+    kind, m, n = atom
+    num = m * X + n * Y
+    if kind == "cos":
+        num += 90 * W
+    return num % (360 * W) / W * _RAD
 
 
 def gradient_sum(terms) -> int:

@@ -55,8 +55,8 @@ from .classify import (angle_bounding_polygon, corner_box, is_stable,
                        line_region)
 from .geometry import (line_segment_in_halfplanes, polygon_area2,
                        polygon_bbox, segment_midpoint, to_homogeneous)
-from .numeric import (MIN_PRECISION, TrigPoly, atom_bounds, dot_bounds,
-                      gradient_sum, pi_enclosure)
+from .numeric import (MIN_PRECISION, TrigPoly, atom_angle, atom_bounds,
+                      dot_bounds, gradient_sum, pi_enclosure)
 from .sequences import CodeSequence, all_assignments
 from .tower import BLACK, pruned_key_points, separation, symbolic_tower
 
@@ -240,7 +240,6 @@ class RegionSystem:
 # Float error of one row's double sum per unit of sum |c|/den, per term;
 # see ``certify_square`` for the derivation and its safety factor.
 _FLOAT_ERR = 2.0 ** -44
-_RAD = math.pi / 180
 
 
 def _compile_row(is_black, terms, index, den) -> Row:
@@ -313,24 +312,14 @@ def _floor_times(q, k: int) -> int:
     return k * q[0] // q[1]
 
 
-def _atom_angle(atom, X: int, Y: int, W: int) -> float:
-    """An atom's angle at (X/W, Y/W) in radians, reduced modulo 360
-    degrees on integers and taken to a double by one rounded division."""
-    kind, m, n = atom
-    num = m * X + n * Y
-    if kind == "cos":
-        num += 90 * W
-    return num % (360 * W) / W * _RAD
-
-
 def _center_floats(system: RegionSystem, X: int, Y: int, W: int):
     """Each atom's angle in radians and each row's value, in doubles.
 
-    Angles come from ``_atom_angle``, so no float error grows with them; a
+    Angles come from ``atom_angle``, so no float error grows with them; a
     cosine atom carries its 90 degrees in the angle, so the sine of every
     angle is the atom and its cosine the atom's derivative factor.
     """
-    angles = [_atom_angle(atom, X, Y, W) for atom in system.atoms]
+    angles = [atom_angle(atom, X, Y, W) for atom in system.atoms]
     sines = [math.sin(a) for a in angles]
     values = []
     for row in system.rows:
@@ -377,7 +366,7 @@ def _witness_fails(system: RegionSystem, X: int, Y: int, W: int,
         row = system.rows[k]
         f = 0.0
         for i, c in row.floats:
-            f += c * math.sin(_atom_angle(system.atoms[i], X, Y, W))
+            f += c * math.sin(atom_angle(system.atoms[i], X, Y, W))
         return f, row.weight * grid + row.err
 
     (black, black_slack), (blue, blue_slack) = map(value_and_slack,

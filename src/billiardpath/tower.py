@@ -18,6 +18,16 @@ q*90 degrees, passed to ``simplify`` as atoms.  ``Tower.score`` forms
 d*px - c*py as integer ends from those that ``TrigPoly.bounds`` gives, and
 the tests decide on them by ``separation``, as ``prover.certify_square``
 does.
+
+The key-point test drops a key point whose score equals a kept one's of
+its color.  ``pruned_key_points`` finds those without expanding scores: a
+double probe of every score at one generic triangle, along the same
+steps, keeps every point that is farther than a proven slack from the
+kept ones, and only near pairs are compared as polynomials.  Floats only
+ever keep a point.  Where the integer ends leave a test indeterminate,
+``_proven_tie`` looks for a black and a blue score that agree identically
+on a line through the triangle, decided exactly in Z[zeta_16]; such a tie
+is a "fail" with margin 0.
 """
 
 from __future__ import annotations
@@ -26,9 +36,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .classify import palindromic_pivots, solve_theta
+from .classify import angle_bounding_polygon, palindromic_pivots, solve_theta
 from .geometry import to_homogeneous
-from .numeric import MIN_PRECISION, Interval, TrigPoly, simplify
+from .numeric import MIN_PRECISION, Interval, TrigPoly, atom_angle, simplify
 from .sequences import (
     SYMBOL_FORMS,
     AngleAssignment,
@@ -130,6 +140,7 @@ class SymbolicTower:
 
     def __init__(self, code: CodeSequence, asg: AngleAssignment):
         self.theta = solve_theta(code, asg)
+        self.plan = (code, asg)  # as given, before an odd code is doubled
         if len(code.codes) % 2:
             # odd codes traverse the path twice to close the picture
             code = CodeSequence(code.codes * 2)
@@ -421,9 +432,112 @@ def _judge(tower: Tower, points) -> Verdict:
     return Verdict("indeterminate", margin, *counts)
 
 
+# one sixteenth of a turn, in degrees: phases that are multiples of it
+# sum in Z[zeta_16]
+_SIXTEENTH = Fraction(45, 2)
+
+
+def _line_through(p, q):
+    """The line a*x + b*y + c = 0 through two points, as primitive
+    integers with b > 0, or b = 0 and a > 0."""
+    a, b = q[1] - p[1], p[0] - q[0]
+    c = -(a * p[0] + b * p[1])
+    den = math.lcm(a.denominator, b.denominator, c.denominator)
+    a, b, c = (int(v * den) for v in (a, b, c))
+    return _primitive(a, b, c)
+
+
+def _primitive(a: int, b: int, c: int):
+    g = math.gcd(a, b, c)
+    if b < 0 or (b == 0 and a < 0):
+        g = -g
+    return a // g, b // g, c // g
+
+
+def _vanishes_on(poly: TrigPoly, line) -> bool:
+    """True when ``poly`` is proven identically zero on the line a*x + b*y
+    + c = 0 (``_line_through``'s form); False when it is not, or when some
+    phase on the line is not a multiple of 22.5 degrees.
+
+    The line runs through (x0, y0) = (0, -c/b), or (-c/a, 0) when b = 0,
+    along (b, -a), so an atom's argument m*x + n*y is f*t + phi with the
+    integer frequency f = m*b - n*a and the phase phi = m*x0 + n*y0.  With
+    sin(-s) = -sin(s) and cos(-s) = cos(s) every frequency is made
+    nonnegative; then c*sin(f*t + phi) is the imaginary part of
+    c * e^(i*f*t) * zeta^k, phi = 22.5k degrees and zeta = e^(i*pi/8), and
+    a cosine adds 4 to k.  Sines and cosines of distinct frequencies are
+    independent, so the restriction vanishes exactly when, per frequency
+    f > 0, the sum of c * zeta^k is 0, and for f = 0 its imaginary part
+    is.  In Z[zeta] = Z[z]/(z^8 + 1) a sum is 0 when its eight integer
+    coefficients are, and its imaginary part when a_j + a_(8-j) = 0 for
+    j = 1..7.
+    """
+    a, b, c = line
+    x0, y0 = (Fraction(0), Fraction(-c, b)) if b else (Fraction(-c, a), 0)
+    groups: dict = {}
+    for (kind, m, n), coeff in poly.coeffs.items():
+        f, q = m * b - n * a, (m * x0 + n * y0) / _SIXTEENTH
+        if q.denominator != 1:
+            return False
+        k = int(q)
+        if f < 0:
+            f, k = -f, -k
+            if kind == "sin":
+                coeff = -coeff
+        if kind == "cos":
+            k += 4
+        k %= 16
+        z = groups.setdefault(f, [0] * 8)
+        z[k % 8] += coeff if k < 8 else -coeff
+    return all(not any(z) if f else
+               not any(z[j] + z[8 - j] for j in range(1, 8))
+               for f, z in groups.items())
+
+
+def _proven_tie(tower: Tower, points) -> bool:
+    """True when some black and blue point of ``points`` provably score
+    alike at the tower's triangle, so black does not outscore blue there.
+
+    Only a pair whose score enclosures overlap can tie.  Its difference is
+    tested for an identity on each line through the triangle that runs
+    along a face of the code's bounding polygon or through two of its
+    vertices, by ``_vanishes_on``.
+    """
+    sym, x, y = tower.sym, tower.x, tower.y
+    poly = angle_bounding_polygon(*sym.plan)
+    lines = {_primitive(*face) for face in poly.faces
+             if face[0] * x + face[1] * y + face[2] == 0}
+    verts = poly.vertices
+    lines.update(_line_through(p, q) for i, p in enumerate(verts)
+                 for q in verts[i + 1:]
+                 if (q[1] - p[1]) * (x - p[0]) == (q[0] - p[0]) * (y - p[1]))
+    if not lines:
+        return False
+    ends = [(p, tower.score(p)) for p in points]
+    blacks = [(p, e) for p, e in ends if p.color == BLACK]
+    blues = [(p, e) for p, e in ends if p.color != BLACK]
+    for p, (plo, phi, pden) in blacks:
+        for q, (qlo, qhi, qden) in blues:
+            if plo * qden > qhi * pden or qlo * pden > phi * qden:
+                continue  # the enclosures are apart
+            diff = sym.score_poly(p) - sym.score_poly(q)
+            if any(_vanishes_on(diff, line) for line in lines):
+                return True
+    return False
+
+
+def _decide(tower: Tower, points) -> Verdict:
+    """``_judge``, with an indeterminate verdict made "fail", margin 0,
+    where ``_proven_tie`` finds a tie: a tie is never a pass."""
+    v = _judge(tower, points)
+    if v.status == "indeterminate" and _proven_tie(tower, points):
+        return Verdict("fail", Fraction(0), v.blue_count, v.black_count)
+    return v
+
+
 def test_I(tower: Tower) -> Verdict:
     """Sign test over every vertex of the unfolded chain."""
-    return _judge(tower, tower.sym.points)
+    return _decide(tower, tower.sym.points)
 
 
 def key_points(sym: SymbolicTower):
@@ -441,19 +555,105 @@ def key_points(sym: SymbolicTower):
     return out
 
 
+# The probe triangle of ``pruned_key_points``, (X/W, Y/W) degrees: a
+# generic point, where distinct scores are rarely close
+_PROBE = (52711, 39427, 1000)
+_U = 2.0 ** -53
+# a true tie's probe gap is at most 3 * (r_p + r_q); see pruned_key_points
+_NEAR = 2.0 ** 10
+
+
+def _probe_poly(poly: TrigPoly):
+    """(value, weight, count) of a polynomial at the probe: its double sum,
+    sum |c|/den and its term count plus 33 (``pruned_key_points``)."""
+    X, Y, W = _PROBE
+    f = 0.0
+    for atom, c in poly.coeffs.items():
+        f += c / poly.den * math.sin(atom_angle(atom, X, Y, W))
+    return f, sum(map(abs, poly.coeffs.values())) / poly.den, \
+        len(poly.coeffs) + 33
+
+
+def _probe_point(sym: SymbolicTower, point: TowerPoint, memo: dict):
+    """(px, py, weight, count) of a point at the probe, as its base
+    point's plus its one step's, walking the steps as ``score_poly``
+    does; ``memo`` maps point ids to what it has built."""
+    chain = []
+    got = memo.get(id(point))
+    while got is None:
+        chain.append(point)
+        step = sym._steps.get(id(point))
+        if step is None:
+            break
+        point = step[0]
+        got = memo.get(id(point))
+    for p in reversed(chain):
+        if got is None:
+            dpx, dpy = p.px, p.py
+            got = (0.0, 0.0, 0.0, 0)
+        else:
+            _, dpx, dpy = sym._steps[id(p)]
+        fx, wx, kx = _probe_poly(dpx)
+        fy, wy, ky = _probe_poly(dpy)
+        got = memo[id(p)] = (got[0] + fx, got[1] + fy, got[2] + wx + wy,
+                             got[3] + kx + ky)
+    return got
+
+
 def pruned_key_points(sym: SymbolicTower) -> tuple:
-    """Key points minus those whose displacement from a kept one of their
-    color is exactly parallel to the shooting vector (equal scores);
-    computed once per tower, so precision escalations skip the hashing."""
+    """Key points minus those whose score equals a kept one's of their
+    color (their displacement runs exactly along the shooting vector);
+    computed once per tower, so precision escalations skip the work.
+
+    Probe.  Every key point's score is first evaluated in doubles at one
+    generic triangle, ``_PROBE``.  A point whose probe value is farther
+    than a proven slack from the value of every kept point of its color
+    is kept, and its score is never expanded.  Only near pairs are
+    compared exactly, by ``score_poly`` equality.  Floats only ever keep:
+    every drop rests on an exact equality, so the tuple is the one the
+    rule "first point of each (color, score polynomial)" gives.
+
+    Slack.  With u = 2^-53, a polynomial of weight w = sum |c|/den and k
+    terms is evaluated within w * (k + 30) * u of its value (the sines as
+    in ``prover.certify_square``, through ``numeric.atom_angle``), and
+    never exceeds w in size.  A coordinate is its base point's plus one
+    step polynomial, so along its chain of steps each double addition
+    adds at most u times the weight W of the chain: a point whose px and
+    py steps have total weight W and sum K of (k + 33) over both (its
+    ``_probe_point``) has each coordinate within u * W * K of the true
+    value, and no larger than W.  The same bound holds for the shooting
+    vector (c, d) with its own weight and count: one polynomial each for
+    an angle shooting, and a chain's difference of two centers (weights
+    and counts add, and so cover the subtraction's rounding).  With C the
+    larger of the two weights and e_s = u * C * K_s for the larger count,
+    the score d*px - c*py is computed within 2 * ((C + e_s) * e + W *
+    e_s) + 4u * (C + e_s) * (W + e), e = u * W * K; as K >= 33 and e,
+    e_s are tiny beside W and C, that is below 3 * r with r = W * (u * C
+    * K + e_s).  Two equal scores thus differ at the probe by at most
+    3 * (r_p + r_q), and a pair is near when its gap is at most
+    2^10 * (r_p + r_q), a factor 341 to spare for a libm sine hundreds of
+    ulps off.  A false near costs one exact comparison.
+    """
     if sym._pruned is None:
-        groups = set()
-        out = []
+        memo: dict = {}
+        if sym.shooting_kind == "angle":
+            (c, wc, kc), (d, wd, kd) = map(_probe_poly, sym.shooting)
+            weight, count = max(wc, wd), max(kc, kd)
+        else:
+            ax, ay, aw, ak = _probe_point(sym, sym.centers[1], memo)
+            tx, ty, tw, tk = _probe_point(sym, sym.centers[-1], memo)
+            c, d, weight, count = tx - ax, ty - ay, aw + tw, ak + tk
+        e_s = _U * weight * count
+        kept = []  # (point, probe score, r)
         for p in key_points(sym):
-            key = (p.color, sym.score_poly(p))
-            if key not in groups:
-                groups.add(key)
-                out.append(p)
-        sym._pruned = tuple(out)
+            px, py, w, k = _probe_point(sym, p, memo)
+            s, r = d * px - c * py, w * (_U * weight * k + e_s)
+            if not any(q.color == p.color and
+                       abs(s - t) <= _NEAR * (r + rq) and
+                       sym.score_poly(q) == sym.score_poly(p)
+                       for q, t, rq in kept):
+                kept.append((p, s, r))
+        sym._pruned = tuple(p for p, _, _ in kept)
     return sym._pruned
 
 
@@ -461,7 +661,7 @@ def test_II(tower: Tower) -> Verdict:
     """Sign test over key points only; needs every fan under 180 degrees."""
     if not tower.fan_angles_below_180():
         raise FanAngleError("a fan opens to 180 degrees or more")
-    return _judge(tower, pruned_key_points(tower.sym))
+    return _decide(tower, pruned_key_points(tower.sym))
 
 
 def test_III(tower: Tower) -> Verdict:
@@ -485,7 +685,7 @@ def test_III(tower: Tower) -> Verdict:
         if o.hi < lo or o.lo > hi:
             continue  # certainly outside the rails
         chosen.append(p)
-    return _judge(tower, chosen)
+    return _decide(tower, chosen)
 
 
 def unfold(code: CodeSequence, asg: AngleAssignment, tri, y=None,

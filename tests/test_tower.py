@@ -11,8 +11,10 @@ from billiardpath.corpus import load_default_corpus
 from billiardpath.numeric import AffineForm, Interval, TrigPoly, simplify
 from billiardpath.sequences import (CodeSequence, all_assignments,
                                     assign_angles, symbol_value, third_symbol)
+from billiardpath import tower as tower_module
 from billiardpath.tower import (BLACK, BLUE, FanAngleError, PrecisionError,
                                 ShapeError, SymbolicTower, _judge,
+                                _line_through, _vanishes_on,
                                 convex_hull_separation, key_points,
                                 pruned_key_points, separation,
                                 symbolic_tower, unfold)
@@ -621,6 +623,112 @@ def test_pruned_key_points_are_built_once():
     # neither rebuilds the list nor re-expands a score
     assert pruned_key_points(sym) is first
     assert not sym._scores
+
+
+# --- pruning by probe ---------------------------------------------------
+
+def reference_pruned(sym):
+    """The pruning rule with every score expanded: the first key point of
+    each (color, score polynomial)."""
+    groups, out = set(), []
+    for p in key_points(sym):
+        key = (p.color, sym.score_poly(p))
+        if key not in groups:
+            groups.add(key)
+            out.append(p)
+    return tuple(out)
+
+
+def test_pruned_key_points_match_the_expanded_rule_on_the_corpus():
+    dropped = 0
+    for entry in load_default_corpus():
+        sym = SymbolicTower(entry.code, all_assignments(entry.code)[0])
+        got = pruned_key_points(sym)
+        assert got == reference_pruned(sym)
+        dropped += len(key_points(sym)) - len(got)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("index", [56, 98])
+def test_pruning_without_duplicates_expands_no_score(index):
+    code = load_default_corpus()[index].code
+    sym = SymbolicTower(code, all_assignments(code)[0])
+    assert len(pruned_key_points(sym)) == len(key_points(sym))
+    assert not sym._scores
+
+
+@pytest.mark.parametrize("index", [14, 28, 56])
+def test_a_probe_that_calls_every_pair_near_prunes_alike(index, monkeypatch):
+    code = load_default_corpus()[index].code
+    plans = [SymbolicTower(code, asg) for asg in all_assignments(code)]
+    want = [pruned_key_points(sym) for sym in plans]
+    monkeypatch.setattr(tower_module, "_NEAR", math.inf)
+    for sym, pruned in zip(plans, want):
+        sym._pruned = None
+        assert pruned_key_points(sym) == pruned
+
+
+# --- exact ties ---------------------------------------------------------
+
+# corpus entry 28 under its first assignment: its black key point 0 and
+# blue key point 15 score alike along x + y = 315/2, a diagonal of its
+# bounding polygon; two seeded triangles on that line
+TIE_CODE = [1, 1, 2, 1, 1, 6, 1, 1, 2, 2, 7]
+TIE_POINTS = [(Fraction(431085, 4144), Fraction(221595, 4144)),
+              (Fraction(361755, 3472), Fraction(185085, 3472))]
+
+
+@pytest.mark.parametrize("x, y", TIE_POINTS)
+def test_an_exact_tie_fails_with_margin_zero(x, y):
+    code = CodeSequence(TIE_CODE)
+    assert list(load_default_corpus()[28].code.codes) == TIE_CODE
+    tower = unfold(code, all_assignments(code)[0], x, y, 7)
+    got = [(v.status, v.margin, v.blue_count, v.black_count)
+           for v in (band_test(tower), pruned_band_test(tower))]
+    assert got == [("fail", 0, 26, 26), ("fail", 0, 17, 17)]
+
+
+def test_the_tie_is_an_identity_on_its_line_only():
+    code = CodeSequence(TIE_CODE)
+    sym = SymbolicTower(code, all_assignments(code)[0])
+    keys = pruned_key_points(sym)
+    black, blue = keys[0], keys[15]
+    assert (black.color, blue.color) == (BLACK, BLUE)
+    diff = sym.score_poly(black) - sym.score_poly(blue)
+    assert not diff.is_zero()
+    line = _line_through((Fraction(315, 2), Fraction(0)),
+                         (Fraction(0), Fraction(315, 2)))
+    assert line == (2, 2, -315)
+    assert _vanishes_on(diff, line)
+    # at 30 digits the difference encloses 0 on the line, and not off it
+    for x in (Fraction(100), Fraction(1051, 10), Fraction(431085, 4144)):
+        assert 0 in diff.eval(x, Fraction(315, 2) - x, 30)
+    assert 0 not in diff.eval(100, 55, 30)
+    assert not _vanishes_on(diff, (1, 1, -155))     # phases off the 1/16 grid
+    assert not _vanishes_on(diff, (1, 1, -135))     # x + y = 135
+
+
+@pytest.mark.parametrize("terms, line, want", [
+    # sin(4x + 4y) + 1 on x + y = 315/2: a constant, sin(630) = -1
+    ({("sin", 4, 4): 1, ("cos", 0, 0): 1}, (2, 2, -315), True),
+    ({("sin", 4, 4): 1, ("cos", 0, 0): -1}, (2, 2, -315), False),
+    # sin(2x) - 1 on the vertical line x = 45
+    ({("sin", 2, 0): 1, ("cos", 0, 0): -1}, (1, 0, -45), True),
+    ({("sin", 2, 0): 1, ("cos", 0, 0): -1}, (1, 0, -135), False),
+    # sin(x) - cos(y) on x + y = 90, a negative frequency folded over
+    ({("sin", 1, 0): 1, ("cos", 0, 1): -1}, (1, 1, -90), True),
+    ({("sin", 1, 0): 1, ("cos", 0, 1): -1}, (1, 1, -45), False),
+    # sin(x) + sin(y) on x - y = 0 is 2 sin(x), not zero
+    ({("sin", 1, 0): 1, ("sin", 0, 1): 1}, (-1, 1, 0), False),
+    ({("sin", 1, 0): 1, ("sin", 0, 1): -1}, (-1, 1, 0), True),
+    # sin(2x - 2y) on y = x: frequency 0, a real Z[zeta_16] sum (sin 0)
+    ({("sin", 2, -2): 1}, (-1, 1, 0), True),
+    ({("cos", 2, -2): 1}, (-1, 1, 0), False),
+    # a phase of 10 degrees leaves Z[zeta_16]: undecided, so False
+    ({("sin", 1, 0): 1, ("cos", 0, 1): -1}, (1, 1, -100), False),
+])
+def test_vanishes_on_decides_identities_on_lines(terms, line, want):
+    assert _vanishes_on(TrigPoly(terms), line) is want
 
 
 def test_separation_takes_the_least_black_and_the_greatest_blue():
