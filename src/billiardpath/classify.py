@@ -22,13 +22,10 @@ from .geometry import (
     to_point,
 )
 from .numeric import AffineForm
-from .sequences import SYMBOL_FORMS, AngleAssignment, CodeSequence, \
-    assign_angles, symbol_value
+from .sequences import ASSIGNMENT_ORDER, SYMBOL_FORMS, AngleAssignment, \
+    CodeSequence, all_assignments, assign_angles, label_walk, symbol_value
 
 CODE_TYPES = ("CS", "CNS", "OSO", "ONS", "OSNO")
-
-_ASSIGNMENT_ORDER = (("X", "Y"), ("X", "Z"), ("Y", "X"), ("Y", "Z"),
-                     ("Z", "X"), ("Z", "Y"))
 
 
 def stability_defect(code: CodeSequence, asg: AngleAssignment):
@@ -37,17 +34,17 @@ def stability_defect(code: CodeSequence, asg: AngleAssignment):
     Odd-length codes are measured over their doubled traversal, where the
     rows swap on the second pass; their defect therefore always vanishes.
     """
-    k = len(code)
-    span = k if k % 2 == 0 else 2 * k
     d = {"X": 0, "Y": 0, "Z": 0}
-    for i in range(1, span + 1):
-        v = code.codes[(i - 1) % k]
-        d[asg.symbol(i)] += v if i % 2 else -v
+    if len(code) % 2 == 0:
+        for i, (s, v) in enumerate(zip(asg.symbols, code.codes)):
+            d[s] += -v if i % 2 else v
     return d["X"], d["Y"], d["Z"]
 
 
 def is_stable(code: CodeSequence) -> bool:
-    return stability_defect(code, assign_angles(code, "X", "Y")) == (0, 0, 0)
+    """Zero defect; the six assignments relabel one walk, which only
+    permutes the defect, so the first decides."""
+    return stability_defect(code, assign_angles(code)) == (0, 0, 0)
 
 
 def palindromic_pivots(code: CodeSequence):
@@ -182,11 +179,7 @@ def canonical_unstable_line(code: CodeSequence):
     codes.
     """
     best = None
-    for first, second in _ASSIGNMENT_ORDER:
-        try:
-            asg = assign_angles(code, first, second)
-        except ValueError:
-            continue
+    for asg in all_assignments(code):
         line = unstable_line(code, asg)
         if line is None:
             return None
@@ -270,44 +263,45 @@ def _between(a: int, b: int, c: int):
     return (a, b, c), (-a, -b, 180 - c)
 
 
-def _largest_fans(code: CodeSequence, asg: AngleAssignment):
-    """The largest fan n at each symbol the code visits."""
-    mx: dict[str, int] = {}
-    for i, v in enumerate(code.codes, 1):
-        s = asg.symbol(i)
-        if v > mx.get(s, 0):
-            mx[s] = v
-    return mx
-
-
 def _corner_halfplanes(code: CodeSequence, asg: AngleAssignment):
     """0 < n*angle < 180 from the largest fan n at each symbol."""
+    fans: dict[str, int] = {}
+    for s, v in zip(asg.symbols, code.codes):
+        fans[s] = max(fans.get(s, 0), v)
     out = []
-    for s, n in sorted(_largest_fans(code, asg).items()):
+    for s, n in sorted(fans.items()):
         wx, wy, wc = SYMBOL_FORMS[s]
         out += _between(n * wx, n * wy, n * wc * 90)
     return out
 
 
-def corner_box(code: CodeSequence, asg: AngleAssignment):
-    """Bounding box (x0, y0, x1, y1) of the corner bounds
-    0 < n*angle < 180 with the base triangle, or None when they are empty.
+def corner_boxes(code: CodeSequence) -> list:
+    """Per assignment in ``ASSIGNMENT_ORDER``, the box (x0, y0, x1, y1)
+    of the corner bounds 0 < n*angle < 180 with the base triangle, or None
+    when they are empty; the largest fan n of each ``label_walk`` label is
+    found once and permuted per assignment.
 
     With a = 180/n_X, b = 180/n_Y and c = 180 - 180/n_Z, an absent symbol
     counting as n = 1 (no bound past the base triangle), the region is
     x < a, y < b, x + y > c inside the base triangle.  It is empty when
-    a + b <= c, that is 1/n_X + 1/n_Y + 1/n_Z <= 1; otherwise x runs over
-    (max(0, c - b), a) and y over (max(0, c - a), b), each end reached on
-    the closure, since c < 180.
+    a + b <= c, that is 1/n_X + 1/n_Y + 1/n_Z <= 1, under every
+    assignment at once; otherwise x runs over (max(0, c - b), a) and y
+    over (max(0, c - a), b), each end reached on the closure (c < 180).
     """
-    fans = _largest_fans(code, asg)
-    nx, ny, nz = (fans.get(s, 1) for s in "XYZ")
-    if (nx + ny) * nz + nx * ny <= nx * ny * nz:
-        return None
-    # c - b = 180 * (ny*nz - ny - nz) / (ny*nz), and c - a alike
-    return (Fraction(max(0, 180 * (ny * nz - ny - nz)), ny * nz),
-            Fraction(max(0, 180 * (nx * nz - nx - nz)), nx * nz),
-            Fraction(180, nx), Fraction(180, ny))
+    fans = [1, 1, 1]
+    for label, v in zip(label_walk(code), code.codes):
+        fans[label] = max(fans[label], v)
+    n0, n1, n2 = fans
+    if (n0 + n1) * n2 + n0 * n1 <= n0 * n1 * n2:
+        return [None] * 6
+    # on the axis of label l, the upper end is 180/n_l and the lower end
+    # (c - b for x, c - a for y) is 180 * (p*q - p - q) / (p*q), with p
+    # and q the fans of the other two labels
+    high = [Fraction(180, n) for n in fans]
+    low = [Fraction(max(0, 180 * (p * q - p - q)), p * q)
+           for p, q in ((n1, n2), (n2, n0), (n0, n1))]
+    return [(low[lx], low[ly], high[lx], high[ly]) for lx, ly in
+            ((sym.index("X"), sym.index("Y")) for sym in ASSIGNMENT_ORDER)]
 
 
 _POLYGON_CACHE: dict = {}

@@ -29,8 +29,7 @@ from .numeric import MIN_PRECISION
 from .oracle import RayState, find_orbit, trace
 from .prover import (DEFAULT_MAX_DEPTH, PRESETS, Square, certify_square,
                      cover, region_system)
-from .sequences import (CodeSequence, all_assignments, assign_angles,
-                        automaton_trace)
+from .sequences import CodeSequence, assign_angles, automaton_trace
 from .tower import (BLUE, FanAngleError, ShapeError, Triangle, test_I,
                     test_II, test_III, unfold)
 
@@ -109,7 +108,7 @@ def _rejection_report(code: CodeSequence) -> str:
 
 def _assignment(code: CodeSequence, letters):
     if letters is None:
-        return all_assignments(code)[0]
+        return assign_angles(code)
     if len(letters) != 2 or any(ch not in "XYZ" for ch in letters.upper()):
         raise _InputError(f"assignment must be two of X, Y, Z: {letters!r}")
     try:
@@ -218,7 +217,7 @@ def cmd_classify(args) -> int:
     kind = classify_code(code)
     print(f"type: {kind}")
     if is_stable(code):
-        asg = all_assignments(code)[0]
+        asg = assign_angles(code)
         line = None
     else:
         line, asg = canonical_unstable_line(code)

@@ -51,13 +51,13 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .classify import (angle_bounding_polygon, corner_box, is_stable,
+from .classify import (angle_bounding_polygon, corner_boxes, is_stable,
                        line_region)
 from .geometry import (line_segment_in_halfplanes, polygon_area2,
                        polygon_bbox, segment_midpoint, to_homogeneous)
 from .numeric import (MIN_PRECISION, TrigPoly, atom_angle, atom_bounds,
                       dot_bounds, gradient_sum, pi_enclosure)
-from .sequences import CodeSequence, all_assignments
+from .sequences import ASSIGNMENT_ORDER, CodeSequence, assign_angles
 from .tower import BLACK, pruned_key_points, separation, symbolic_tower
 
 DEFAULT_MAX_DEPTH = 20
@@ -261,15 +261,12 @@ def _compile_row(is_black, terms, index, den) -> Row:
 def region_system(code: CodeSequence, asg=None) -> RegionSystem:
     """Compile a code into its certification system.
 
-    Without an explicit assignment the first consistent one is taken.  An
+    Without an explicit assignment the first one, XY, is taken.  An
     empty polygon (or a line that misses it) leaves ``empty`` set; the
     system is still returned so callers can report why nothing was claimed.
     """
     if asg is None:
-        choices = all_assignments(code)
-        if not choices:
-            raise ValueError(f"no consistent letter assignment for {code}")
-        asg = choices[0]
+        asg = assign_angles(code)
     polygon = angle_bounding_polygon(code, asg)
     if is_stable(code):
         kind, line = "band", None
@@ -926,11 +923,10 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
     so they share one kernel memo per precision, dropped with the level
     (it never holds more than one level's angles).  Candidate order is the
     corpus order filtered down the parent chain, with the parent's most
-    promising code tried first.  Only the plans whose corner box
-    (``classify.corner_box``, the closed-form box of the bounds
-    0 < n*angle < 180 on the largest fans) meets the root square have
-    their full bounding polygon compiled; the others could never be
-    candidates.  ``threads`` is accepted for compatibility and ignored.
+    promising code tried first.  The candidates (``_cover_plans``) are
+    stable codes under each of their six assignments, which relabel one
+    symbol walk and so come all or none.  ``threads`` is accepted for
+    compatibility and ignored.
     """
     if precision < MIN_PRECISION:
         raise ValueError(f"precision {precision} below minimum "
@@ -946,26 +942,11 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
     walls = _walls(target)
     x0, y0, x1, y1 = polygon_bbox(target)
     root = Square((x0 + x1) / 2, (y0 + y1) / 2, max(x1 - x0, y1 - y0) / 2)
-    # (key, polygon, box) per (entry index, assignment index), in corpus
-    # order; a line system never certifies area on its own.  The full
-    # polygon lies inside the corner bounds, so a corner box apart from
-    # the root is apart from every square and the plan is never compiled
-    plans = []
-    for i, code in enumerate(codes):
-        if not is_stable(code):
-            continue
-        for j, asg in enumerate(all_assignments(code)):
-            outer = corner_box(code, asg)
-            if outer is None or not _meets(root, _box(outer)):
-                continue
-            poly = angle_bounding_polygon(code, asg)
-            if not poly.is_empty:
-                plans.append(((i, j), poly, _box(poly.bbox())))
+    plans, asgs = _cover_plans(codes, root)
 
     @functools.cache  # built lazily, shared across the tree
     def system(key):
-        i, j = key
-        return region_system(codes[i], all_assignments(codes[i])[j])
+        return region_system(codes[key[0]], asgs[key])
 
     records, failures = [], []
     max_depth_used, depth, nodes = 0, 0, [(root, plans, None)]
@@ -985,6 +966,30 @@ def cover(target, corpus, *, precision: int = MIN_PRECISION,
         nodes, depth = children, depth + 1
     return CoverResult(target, len(codes), precision, max_depth, records,
                        failures, max_depth_used)
+
+
+def _cover_plans(codes, root: Square):
+    """``cover``'s plans under ``root``: (key, polygon, box) per key (code
+    index, ``ASSIGNMENT_ORDER`` index) in corpus order, and each key's
+    assignment.  Only stable codes enter, since a line system never
+    certifies area on its own.  A code's six assignments are relabelings
+    of one symbol walk, so ``classify.corner_boxes`` gives all six corner
+    boxes (0 < n*angle < 180 on the largest fans) from it.  The polygon
+    lies in its corner bounds, so a plan whose corner box misses the root
+    could never be a candidate: it gets no assignment and no polygon.
+    """
+    plans, asgs = [], {}
+    for i, code in enumerate(codes):
+        if not is_stable(code):
+            continue
+        for j, outer in enumerate(corner_boxes(code)):
+            if outer is None or not _meets(root, _box(outer)):
+                continue
+            asgs[i, j] = asg = assign_angles(code, *ASSIGNMENT_ORDER[j][:2])
+            poly = angle_bounding_polygon(code, asg)
+            if not poly.is_empty:
+                plans.append(((i, j), poly, _box(poly.bbox())))
+    return plans, asgs
 
 
 # --- the triple rule --------------------------------------------------

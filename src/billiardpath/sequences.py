@@ -11,17 +11,22 @@ automaton on the even/odd alphabet, and by cyclic string reduction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 PAIR_ANGLE = {frozenset((1, 2)): "y", frozenset((2, 3)): "z",
               frozenset((1, 3)): "x"}
 
 _SYMBOLS = ("X", "Y", "Z")
 
+# the symbols (first, second, third) of each assignment, in the order
+# assignments are listed everywhere: XY, XZ, YX, YZ, ZX, ZY
+ASSIGNMENT_ORDER = tuple(permutations(_SYMBOLS))
+_THIRD = {(a, b): c for a, b, c in ASSIGNMENT_ORDER}
+
 
 def third_symbol(a: str, b: str) -> str:
     """The angle symbol distinct from both arguments."""
-    (rest,) = set(_SYMBOLS) - {a, b}
-    return rest
+    return _THIRD[a, b]
 
 
 def _third_side(a: int, b: int) -> int:
@@ -162,36 +167,27 @@ class AngleAssignment:
     row when i is even.
     """
 
-    __slots__ = ("top", "bottom", "length")
+    __slots__ = ("symbols",)
 
-    def __init__(self, top: dict, bottom: dict, length: int):
-        self.top = dict(top)
-        self.bottom = dict(bottom)
-        self.length = length
-        for i in range(1, length + 1):
-            row, other = (self.top, self.bottom) if i % 2 else \
-                         (self.bottom, self.top)
-            if i not in row or i in other:
-                raise ValueError(f"position {i} not on its own row")
+    def __init__(self, symbols):
+        self.symbols = tuple(symbols)
 
     def symbol(self, i: int) -> str:
         """Angle symbol at 1-based position i."""
-        i = (i - 1) % self.length + 1
-        return self.top[i] if i % 2 else self.bottom[i]
+        return self.symbols[(i - 1) % len(self.symbols)]
 
     def top_row(self) -> list:
-        return [self.top[i] for i in range(1, self.length + 1, 2)]
+        return list(self.symbols[0::2])
 
     def bottom_row(self) -> list:
-        return [self.bottom[i] for i in range(2, self.length + 1, 2)]
+        return list(self.symbols[1::2])
 
     def __eq__(self, other):
         return (isinstance(other, AngleAssignment)
-                and self.top == other.top and self.bottom == other.bottom)
+                and self.symbols == other.symbols)
 
     def __hash__(self):
-        return hash((tuple(sorted(self.top.items())),
-                     tuple(sorted(self.bottom.items()))))
+        return hash(self.symbols)
 
     def __repr__(self):
         return (f"AngleAssignment(top={' '.join(self.top_row())}, "
@@ -406,51 +402,54 @@ def _reduces(word: str) -> bool:
 
 # --- angle assignment -------------------------------------------------
 
+def label_walk(code: CodeSequence) -> list:
+    """Labels 0, 1, 2 of the code positions, walked from 0 and 1.
+
+    After the first two positions an even code number repeats the label
+    two back, an odd one forces the third label 3 - a - b.  The same rule
+    must hold across the seam or the code is rejected.
+    """
+    c = code.codes
+    k = len(c)
+    if k == 1:
+        raise ValueError(f"not a legal code sequence {code}: single run")
+    a = [0, 1] + [0] * (k - 2)
+    for i in range(k - 2):
+        # next label is driven by the parity of the middle code number
+        a[i + 2] = a[i] if c[i + 1] % 2 == 0 else 3 - a[i] - a[i + 1]
+    for i in (k - 2, k - 1):
+        b, n = a[(i + 1) % k], c[(i + 1) % k]
+        if (a[i] if n % 2 == 0 else 3 - a[i] - b) != a[(i + 2) % k]:
+            raise ValueError(
+                f"not a legal code sequence {code}: seam symbol mismatch")
+    return a
+
+
 def assign_angles(code: CodeSequence, first: str = "X",
                   second: str = "Y") -> AngleAssignment:
     """Attach an angle symbol to every code position.
 
     The first two positions get ``first`` and ``second``; after that an even
     code number repeats the symbol two back, an odd one forces the third
-    symbol.  The same rule must hold across the seam or the code is
-    rejected.
+    symbol.  The rule commutes with relabeling the symbols, so this is
+    ``label_walk`` with 0, 1, 2 read as first, second and third: the seam
+    check passes for all six symbol pairs or for none.
     """
     if first == second or {first, second} - set(_SYMBOLS):
         raise ValueError(f"need two distinct symbols, got {first} {second}")
-    k = len(code)
-    c = code.codes
-    if k == 1:
-        raise ValueError(f"not a legal code sequence {code}: single run")
-    a = [None] * k
-    a[0] = first
-    if k > 1:
-        a[1] = second
-    for i in range(k - 2):
-        # next symbol is driven by the parity of the middle code number
-        a[i + 2] = a[i] if c[i + 1] % 2 == 0 else third_symbol(a[i], a[i + 1])
-    for i in (k - 2, k - 1):
-        expect = a[i] if c[(i + 1) % k] % 2 == 0 else \
-            third_symbol(a[i], a[(i + 1) % k])
-        if expect != a[(i + 2) % k]:
-            raise ValueError(
-                f"not a legal code sequence {code}: seam symbol mismatch")
-    top = {i + 1: a[i] for i in range(0, k, 2)}
-    bottom = {i + 1: a[i] for i in range(1, k, 2)}
-    return AngleAssignment(top, bottom, k)
+    symbols = (first, second, _THIRD[first, second])
+    return AngleAssignment(symbols[label] for label in label_walk(code))
 
 
 def all_assignments(code: CodeSequence) -> list:
-    """Every consistent assignment over the six ordered symbol pairs."""
-    out = []
-    for first in _SYMBOLS:
-        for second in _SYMBOLS:
-            if first == second:
-                continue
-            try:
-                out.append(assign_angles(code, first, second))
-            except ValueError:
-                continue
-    return out
+    """The six relabelings of one ``label_walk``, in ``ASSIGNMENT_ORDER``,
+    or none when the code is rejected: they stand or fall together."""
+    try:
+        labels = label_walk(code)
+    except ValueError:
+        return []
+    return [AngleAssignment(symbols[label] for label in labels)
+            for symbols in ASSIGNMENT_ORDER]
 
 
 # each symbol's angle as integers (ax, ay, q): ax*x + ay*y + q*90 degrees

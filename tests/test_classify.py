@@ -12,7 +12,7 @@ from billiardpath.classify import (
     angle_bounding_polygon,
     canonical_unstable_line,
     classify_code,
-    corner_box,
+    corner_boxes,
     fan_angle_expansion,
     is_stable,
     line_region,
@@ -26,6 +26,7 @@ from billiardpath.corpus import load_default_corpus
 from billiardpath.geometry import point_satisfies
 from billiardpath.sequences import CodeSequence, all_assignments, assign_angles
 
+import _reference
 from _worked_example import reduce_on_line
 
 F = Fraction
@@ -170,7 +171,7 @@ def test_solve_theta_none_without_shape():
 
 
 def corner_bounding_polygon(code, asg):
-    """Reference for ``corner_box``: the corner bounds 0 < n*angle < 180
+    """Reference for ``corner_boxes``: the corner bounds 0 < n*angle < 180
     clipped to a whole polygon."""
     return BoundingPolygon(_corner_halfplanes(code, asg))
 
@@ -187,27 +188,40 @@ def test_corner_polygon():
         (1, 0, 0),
         (1, 1, -90),    # 2z < 180: the widest corner gap spans two z angles
     ]
-    # x < 30 and x + y > 90 put y above 60
-    assert corner_box(code, asg) == poly.bbox() == (0, 60, 30, 180)
+    # x < 30 and x + y > 90 put y above 60; YZ is the fourth assignment
+    assert corner_boxes(code)[3] == poly.bbox() == (0, 60, 30, 180)
 
 
 def test_corner_box_matches_the_clipped_corner_polygon():
     # every corpus plan, and seeded codes whose corner bounds are often
-    # empty (a + b <= c), on which the box must be None like the clip's
-    plans = [(e.code, asg) for e in load_default_corpus()
-             for asg in all_assignments(e.code)]
-    assert len(plans) == 804
+    # empty (a + b <= c), on which the box must be None like the clip's;
+    # the six boxes of a code come from one walk, in assignment order,
+    # and agree with the reference box of each assignment.  The last
+    # three codes have largest fans with 1/n_X + 1/n_Y + 1/n_Z = 1: their
+    # open bounds are empty, though the clip's closure is one point
+    codes = [e.code for e in load_default_corpus()]
+    codes += [CodeSequence.parse(t) for t in ("3 3 3", "1 2 3 6",
+                                              "1 2 1 2 4 4")]
     rng = random.Random(16)
     for _ in range(600):
-        code = CodeSequence([rng.randrange(1, 12)
-                             for _ in range(rng.choice((3, 4, 5, 6, 8)))])
-        plans += [(code, asg) for asg in all_assignments(code)]
-    empty = 0
-    for code, asg in plans:
-        want = corner_bounding_polygon(code, asg).bbox()
-        assert corner_box(code, asg) == want, (code, asg)
-        empty += want is None
-    assert empty > 100
+        codes.append(CodeSequence([rng.randrange(1, 12) for _ in
+                                   range(rng.choice((3, 4, 5, 6, 8)))]))
+    plans = empty = rejected = 0
+    for code in codes:
+        asgs = all_assignments(code)
+        if not asgs:
+            rejected += 1
+            with pytest.raises(ValueError):
+                corner_boxes(code)
+            continue
+        for asg, got in zip(asgs, corner_boxes(code), strict=True):
+            corner = corner_bounding_polygon(code, asg)
+            want = None if corner.is_empty else corner.bbox()
+            assert got == _reference.corner_box(code, asg) == want, \
+                (code, asg)
+            empty += want is None
+            plans += 1
+    assert plans > 804 + 600 and empty > 100 and rejected > 100
 
 
 def test_acute_polygon():
@@ -281,7 +295,8 @@ def test_frozen_corpus_polygon_digest():
     digest = hashlib.sha256()
     plans = 0
     for entry in load_default_corpus():
-        for asg in all_assignments(entry.code):
+        boxes = corner_boxes(entry.code)
+        for j, asg in enumerate(all_assignments(entry.code)):
             poly = angle_bounding_polygon(entry.code, asg)
             digest.update(
                 repr((poly.halfplanes, poly.vertices, poly.faces)).encode())
@@ -313,7 +328,8 @@ def test_corpus_polygons_nonempty():
     # root square
     plans = 0
     for entry in load_default_corpus():
-        for asg in all_assignments(entry.code):
+        boxes = corner_boxes(entry.code)
+        for j, asg in enumerate(all_assignments(entry.code)):
             poly = angle_bounding_polygon(entry.code, asg)
             assert not poly.is_empty
             corner = corner_bounding_polygon(entry.code, asg)
@@ -321,7 +337,7 @@ def test_corpus_polygons_nonempty():
                 assert point_satisfies(corner.halfplanes, vx, vy,
                                        strict=False), (entry.code, asg)
             x0, y0, x1, y1 = poly.bbox()
-            cx0, cy0, cx1, cy1 = corner_box(entry.code, asg)
+            cx0, cy0, cx1, cy1 = boxes[j]
             assert cx0 <= x0 and cy0 <= y0 and x1 <= cx1 and y1 <= cy1
             plans += 1
     assert plans == 804

@@ -18,7 +18,7 @@ import pytest
 
 from billiardpath import classify, geometry, numeric, prover
 from billiardpath.classify import (angle_bounding_polygon, classify_code,
-                                   corner_box)
+                                   corner_boxes)
 from billiardpath.corpus import load_default_corpus
 from billiardpath.geometry import (clip_polygon, polygon_area2, polygon_bbox,
                                    segment_midpoint, to_homogeneous)
@@ -36,6 +36,7 @@ from billiardpath.prover import (
     _box,
     _chord_in_square,
     _cover_node,
+    _cover_plans,
     _inside,
     _meets,
     _walls,
@@ -48,6 +49,8 @@ from billiardpath.prover import (
 )
 from billiardpath.sequences import CodeSequence, all_assignments, assign_angles
 from billiardpath.tower import BLACK, test_II as pruned_band_test, unfold
+
+import _reference
 
 F = Fraction
 
@@ -778,24 +781,48 @@ class TestCover:
             seen.add((tuple(code.codes), asg.symbol(1), asg.symbol(2)))
             return angle_bounding_polygon(code, asg)
 
+        def assign_spy(code, first, second):
+            built.append((tuple(code.codes), first, second))
+            return assign_angles(code, first, second)
+
+        built = []
         monkeypatch.setattr("billiardpath.prover.angle_bounding_polygon", spy)
+        monkeypatch.setattr("billiardpath.prover.assign_angles", assign_spy)
         corpus = load_default_corpus()
         res = cover(STRIP_SLICE, [corpus[i] for i in range(0, 134, 2)])
         assert res.complete
         # of the 402 stable plans, only the 9 whose corner box meets the
-        # root square are compiled
+        # root square get an assignment and a compiled polygon
         assert len(seen) == 9
+        assert sorted(built) == sorted(seen)
+
+    @pytest.mark.parametrize("target, step", [
+        (STRIP_SLICE, 2), (PRESETS["strip-75-80"], 1),
+        (PRESETS["strip-112.3"], 1), (PRESETS["acute-demo"], 1)],
+        ids=["strip-slice", "strip-75-80", "strip-112.3", "acute-demo"])
+    def test_plans_match_one_assignment_at_a_time(self, target, step):
+        # the six corner boxes of one walk give the plan list (keys, order,
+        # polygons, boxes) that six assignments and six corner boxes per
+        # code gave, and an assignment only to the plans meeting the root
+        codes = [e.code for e in load_default_corpus()[::step]]
+        root = root_square(target)
+        plans, asgs = _cover_plans(codes, root)
+        want = _reference.cover_plans(codes, root)
+        assert [(key, poly.halfplanes, box) for key, poly, box in plans] \
+            == [(key, poly.halfplanes, box) for key, poly, box in want]
+        assert {key for key, _, _ in plans} <= set(asgs)
+        for (i, j), asg in asgs.items():
+            assert asg == all_assignments(codes[i])[j]
+            assert _meets(root, _box(corner_boxes(codes[i])[j]))
 
     @pytest.mark.parametrize("preset",
                              ["strip-75-80", "strip-112.3", "acute-demo"])
     def test_corner_gate_skips_only_unreachable_plans(self, preset):
-        x0, y0, x1, y1 = polygon_bbox(PRESETS[preset])
-        root = Square((x0 + x1) / 2, (y0 + y1) / 2,
-                      max(x1 - x0, y1 - y0) / 2)
+        root = root_square(PRESETS[preset])
         skipped = 0
         for entry in load_default_corpus():
-            for asg in all_assignments(entry.code):
-                outer = corner_box(entry.code, asg)
+            boxes = corner_boxes(entry.code)
+            for asg, outer in zip(all_assignments(entry.code), boxes):
                 if outer is not None and _meets(root, _box(outer)):
                     continue
                 skipped += 1
@@ -910,6 +937,12 @@ class TestCover:
                                  "'failure 60 60 -2'"):
             CoverResult.parse(text.replace("failure 60 60 10",
                                            "failure 60 60 -2"))
+
+
+def root_square(target):
+    """``cover``'s root: the bounding square of the target's box."""
+    x0, y0, x1, y1 = polygon_bbox(target)
+    return Square((x0 + x1) / 2, (y0 + y1) / 2, max(x1 - x0, y1 - y0) / 2)
 
 
 def node_plans(codes):

@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+from billiardpath.classify import is_stable, stability_defect
+from billiardpath.corpus import load_default_corpus
 from billiardpath.sequences import (
+    ASSIGNMENT_ORDER,
     AlphabetSequence,
     CodeSequence,
     SideSequence,
@@ -15,12 +18,15 @@ from billiardpath.sequences import (
     code_to_side,
     extra_standard_form_side,
     is_legal_side_sequence,
+    label_walk,
     reduces_to_empty,
     side_to_code,
     standard_form_code,
     standard_form_side,
     third_symbol,
 )
+
+import _reference
 
 S = SideSequence.parse
 C = CodeSequence.parse
@@ -192,6 +198,56 @@ def test_assign_angles_rejects_inconsistent():
         assign_angles(C("1 1 1 1"), "X", "Y")
     with pytest.raises(ValueError):
         assign_angles(C("1 1 1"), "X", "X")
+
+
+def test_third_symbol_table():
+    for a, b in _reference.PAIRS:
+        assert third_symbol(a, b) == _reference.third(a, b)
+    assert [(a, b) for a, b, _ in ASSIGNMENT_ORDER] == _reference.PAIRS
+
+
+def relabeling_codes():
+    """Every corpus code and 2400 seeded codes, most of them illegal;
+    lengths from 1 (a single run) to 12."""
+    codes = [e.code for e in load_default_corpus()]
+    rng = random.Random(23)
+    for _ in range(2400):
+        k = rng.randrange(1, 13)
+        codes.append(CodeSequence([rng.randrange(1, 10) for _ in range(k)]))
+    return codes
+
+
+def test_assignments_relabel_one_walk():
+    # the six assignments are the walk's labels read through the six
+    # symbol orders, or none at all; each pair's walk on letters, and the
+    # message it rejects with, agree with assign_angles
+    legal = illegal = 0
+    for code in relabeling_codes():
+        try:
+            labels = label_walk(code)
+        except ValueError as exc:
+            why = str(exc)
+            labels = None
+        got = all_assignments(code)
+        assert got == _reference.assignments(code), code
+        if labels is None:
+            illegal += 1
+            assert got == []
+            for first, second in _reference.PAIRS:
+                for walk in (_reference.walk_symbols, assign_angles):
+                    with pytest.raises(ValueError) as exc:
+                        walk(code, first, second)
+                    assert str(exc.value) == why
+            continue
+        legal += 1
+        assert got == [assign_angles(code, a, b) for a, b in _reference.PAIRS]
+        for asg, symbols in zip(got, ASSIGNMENT_ORDER):
+            assert asg.symbols == tuple(symbols[i] for i in labels)
+            assert stability_defect(code, asg) == \
+                _reference.defect(code, asg), (code, asg)
+        assert is_stable(code) == (_reference.defect(code, got[0])
+                                   == (0, 0, 0))
+    assert legal > 400 and illegal > 1000
 
 
 def test_parse_and_format():
