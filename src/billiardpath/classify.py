@@ -2,10 +2,12 @@
 
 A legal code paired with an angle assignment lands in one of five types.
 Stability is measured by the defect triple; unstable codes live on a line in
-the (x, y) angle map.  Where the geometry pins down the first shooting angle
-it is solved exactly; the reflecting-angle expansion then bounds the code's
-region by a convex polygon, compiled straight to integer halfplane triples
-(a, b, c) meaning a*x + b*y + c > 0 with x and y in degrees.
+the (x, y) angle map.  Angles are integer forms over the triples of
+``SYMBOL_FORMS``, (ax, ay, q) for ax*x + ay*y + q*90 degrees.  Where the
+geometry pins down the first shooting angle it is solved exactly, as such a
+triple; the reflecting-angle expansion then bounds the code's region by a
+convex polygon, compiled straight to integer halfplane triples (a, b, c)
+meaning a*x + b*y + c > 0 with x and y in degrees.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from .geometry import (
     polygon_bbox,
     to_point,
 )
-from .numeric import AffineForm
 from .sequences import ASSIGNMENT_ORDER, SYMBOL_FORMS, AngleAssignment, \
-    CodeSequence, all_assignments, assign_angles, label_walk, symbol_value
+    CodeSequence, all_assignments, assign_angles, label_walk
 
 CODE_TYPES = ("CS", "CNS", "OSO", "ONS", "OSNO")
 
@@ -87,8 +88,8 @@ def classify_code(code: CodeSequence) -> str:
 def shooting_angle_sequence(code: CodeSequence, asg: AngleAssignment):
     """First shooting angle of every fan, as integer forms (ax, ay, c, t).
 
-    A form stands for ax*x + ay*y + c*90 + t*theta degrees, the units of
-    ``AffineForm``.
+    A form stands for ax*x + ay*y + c*90 + t*theta degrees: a
+    ``SYMBOL_FORMS`` triple with a theta slot, t being +1 or -1.
     """
     phis = [(0, 0, 0, 1)]
     for i in range(len(code) - 1):
@@ -123,31 +124,41 @@ def fan_angle_expansion(code: CodeSequence, asg: AngleAssignment):
     return out
 
 
-def solve_theta(code: CodeSequence, asg: AngleAssignment):
-    """Exact first shooting angle, or None when the type leaves it free.
+def _plus(form, k: int, other):
+    """form + k*other on integer triples."""
+    return tuple(a + k * b for a, b in zip(form, other))
 
-    Odd codes close up perpendicular to their start, which fixes theta from
-    the alternating sum of fan turns.  Codes with palindromic pivots are
-    fixed by the right angle at the first pivot.  Everything else has a
-    one-parameter family and returns None.
+
+def solve_theta(code: CodeSequence, asg: AngleAssignment):
+    """Exact first shooting angle as a ``SYMBOL_FORMS`` triple (ax, ay, q),
+    or None when the type leaves it free.
+
+    Odd codes close up perpendicular to their start, which fixes twice
+    theta as 180 plus the alternating sum of fan turns.  Codes with
+    palindromic pivots are fixed by the right angle at the first pivot p:
+    t*theta + phi = (180 - n_p*w_p)/2, with t*theta + phi the pivot fan's
+    shooting form.  Everything else has a one-parameter family and returns
+    None.  Twice theta is an integer triple, halved exactly; an odd
+    coefficient raises ``ValueError``.
     """
-    k = len(code)
-    c = code.codes
-    if k % 2:
-        s = AffineForm.const(180)
-        for i in range(1, k + 1):
-            v = c[i - 1] * symbol_value(asg.symbol(i))
-            s = (s + v) if i % 2 == 0 else (s - v)
-        return s * Fraction(1, 2)
-    pivots = palindromic_pivots(code)
-    if not pivots:
-        return None
-    p = pivots[0]
-    ax, ay, phi_c, t = shooting_angle_sequence(code, asg)[p - 1]
-    target = (AffineForm.const(180) - c[p - 1] * symbol_value(asg.symbol(p))) \
-        * Fraction(1, 2)
-    rest = AffineForm(ax, ay, phi_c, 0)
-    return (target - rest) * (1 if t > 0 else -1)
+    if len(code) % 2:
+        twice = (0, 0, 2)
+        for i, n in enumerate(code.codes, 1):
+            twice = _plus(twice, n if i % 2 == 0 else -n,
+                          SYMBOL_FORMS[asg.symbol(i)])
+    else:
+        pivots = palindromic_pivots(code)
+        if not pivots:
+            return None
+        p = pivots[0]
+        ax, ay, c, t = shooting_angle_sequence(code, asg)[p - 1]
+        twice = _plus((-2 * ax, -2 * ay, 2 - 2 * c), -code.codes[p - 1],
+                      SYMBOL_FORMS[asg.symbol(p)])
+        twice = tuple(t * v for v in twice)
+    if any(v % 2 for v in twice):
+        raise ValueError(f"shooting angle of {code} is not an integer form: "
+                         f"twice it is {twice}")
+    return tuple(v // 2 for v in twice)
 
 
 # --- unstable lines ---------------------------------------------------
@@ -311,11 +322,11 @@ def angle_bounding_polygon(code: CodeSequence,
                            asg: AngleAssignment) -> BoundingPolygon:
     """Bounds 0 < angle < 90 over every listed reflecting angle.
 
-    With theta solved each form is doubled, which keeps it integer, and
-    bounded by 0 and 180.  Otherwise every theta-carrying form is added to
-    every form carrying -theta (complements join both pools), which cancels
-    theta exactly and bounds the sum by 0 and 180; the corner bounds are
-    merged in at the end.
+    With theta solved each form is doubled and bounded by 0 and 180.
+    Otherwise every theta-carrying form is added to every form carrying
+    -theta (complements join both pools), which cancels theta exactly and
+    bounds the sum by 0 and 180; the corner bounds are merged in at the
+    end.
     """
     cache_key = (tuple(code.codes), asg.symbol(1), asg.symbol(2))
     cached = _POLYGON_CACHE.get(cache_key)
@@ -324,8 +335,7 @@ def angle_bounding_polygon(code: CodeSequence,
     forms = [f for fan in fan_angle_expansion(code, asg) for f in fan]
     theta = solve_theta(code, asg)
     if theta is not None:
-        # solve_theta halves an integer form, so 2*theta is integral
-        tx, ty, tc = int(2 * theta.ax), int(2 * theta.ay), int(2 * theta.c)
+        tx, ty, tc = (2 * v for v in theta)
         halfplanes = [hp for ax, ay, c, t in forms
                       for hp in _between(2 * ax + t * tx, 2 * ay + t * ty,
                                          (2 * c + t * tc) * 90)]

@@ -29,7 +29,8 @@ from .numeric import MIN_PRECISION
 from .oracle import RayState, find_orbit, trace
 from .prover import (DEFAULT_MAX_DEPTH, PRESETS, Square, certify_square,
                      cover, region_system)
-from .sequences import CodeSequence, assign_angles, automaton_trace
+from .sequences import CodeSequence, assign_angles, automaton_trace, \
+    form_degrees
 from .tower import (BLUE, FanAngleError, ShapeError, Triangle, test_I,
                     test_II, test_III, unfold)
 
@@ -160,43 +161,33 @@ def _triangle(at) -> Triangle:
 
 # --- formatting -------------------------------------------------------
 
-def _affine_str(form) -> str:
-    """Human form of an affine angle expression, degrees implied."""
-    parts = []
-    for coeff, name in ((form.ax, "x"), (form.ay, "y"), (form.t, "theta")):
-        if coeff:
-            parts.append((coeff, name))
-    if form.c or not parts:
-        parts.append((90 * form.c, ""))
+def _sum_str(parts) -> str:
+    """(coefficient, name) pairs as a signed sum; an empty name marks a
+    constant."""
     out = []
-    for i, (coeff, name) in enumerate(parts):
+    for coeff, name in parts:
         mag = abs(coeff)
-        if name and mag == 1:
-            body = name
-        elif name:
-            body = f"{mag}{name}"
-        else:
-            body = str(mag)
-        if i == 0:
+        body = f"{mag}{name}" if mag != 1 or not name else name
+        if not out:
             out.append(f"-{body}" if coeff < 0 else body)
         else:
             out.append(f"- {body}" if coeff < 0 else f"+ {body}")
     return " ".join(out)
 
 
+def _form_str(form) -> str:
+    """Human form of an integer angle triple (ax, ay, q), degrees implied."""
+    ax, ay, q = form
+    parts = [(k, name) for k, name in ((ax, "x"), (ay, "y")) if k]
+    if q or not parts:
+        parts.append((90 * q, ""))
+    return _sum_str(parts)
+
+
 def _line_str(line) -> str:
     a, b, c = line
-    left = []
-    for coeff, name in ((a, "x"), (b, "y")):
-        if not coeff:
-            continue
-        mag = abs(coeff)
-        body = name if mag == 1 else f"{mag}{name}"
-        if not left:
-            left.append(f"-{body}" if coeff < 0 else body)
-        else:
-            left.append(f"- {body}" if coeff < 0 else f"+ {body}")
-    return f"{' '.join(left) or '0'} = {90 * c}"
+    left = _sum_str((k, name) for k, name in ((a, "x"), (b, "y")) if k)
+    return f"{left or '0'} = {90 * c}"
 
 
 def _margin_str(margin) -> str:
@@ -228,7 +219,7 @@ def cmd_classify(args) -> int:
         print(f"line: {_line_str(line)}")
     theta = solve_theta(code, asg)
     if theta is not None:
-        print(f"theta: {_affine_str(theta)}")
+        print(f"theta: {_form_str(theta)}")
     poly = angle_bounding_polygon(code, asg)
     if poly.is_empty:
         print("polygon: empty")
@@ -375,8 +366,8 @@ def cmd_tower(args) -> int:
     print(f"chain: {len(sym.centers)} centers, {len(sym.fans)} fans, "
           f"{copies} reflected copies")
     if sym.theta is not None:
-        print(f"theta: {_affine_str(sym.theta)} "
-              f"= {float(sym.theta.eval(tri.x, tri.y)):.6f} deg")
+        print(f"theta: {_form_str(sym.theta)} "
+              f"= {float(form_degrees(sym.theta, tri.x, tri.y)):.6f} deg")
     c, d = tower.shooting_vector()
     print(f"shooting vector: c {_interval_str(c)}, d {_interval_str(d)}")
     for name, fn in (("full-chain test", test_I),

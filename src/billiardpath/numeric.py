@@ -23,7 +23,9 @@ coefficients times them by the one signed rule.  ``TrigPoly.bounds``
 meet the same integers; ``TrigPoly.eval`` builds one ``Interval``.
 
 A ``TrigPoly`` keeps its coefficients as integers over one common
-denominator in lowest terms.  Product-to-sum rewriting halves and
+denominator in lowest terms.  An atom's argument is the package's one
+angle form, an integer triple (m, n, q) as in ``sequences.SYMBOL_FORMS``,
+for m*x + n*y + q*90 degrees.  Product-to-sum rewriting halves and
 ``simplify`` doubles, so the towers' sums only ever meet powers of two;
 sums, products and ``simplify``'s expansion run on ``int`` by one
 product-to-sum rule, and ``terms`` gives the exact rationals.
@@ -322,78 +324,6 @@ def gradient_sum(terms) -> int:
     return sum(abs(c) * (abs(m) + abs(n)) for (_, m, n), c in terms)
 
 
-# --- affine angle forms -----------------------------------------------
-
-class AffineForm:
-    """Angle expression ax*x + ay*y + c*90 + t*theta, in degrees."""
-
-    __slots__ = ("ax", "ay", "c", "t")
-
-    def __init__(self, ax=0, ay=0, c=0, t=0):
-        self.ax = Fraction(ax)
-        self.ay = Fraction(ay)
-        self.c = Fraction(c)
-        self.t = Fraction(t)
-
-    @classmethod
-    def const(cls, degrees) -> "AffineForm":
-        return cls(0, 0, Fraction(degrees) / 90, 0)
-
-    def __add__(self, other):
-        o = other if isinstance(other, AffineForm) else AffineForm.const(other)
-        return AffineForm(self.ax + o.ax, self.ay + o.ay, self.c + o.c,
-                          self.t + o.t)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = other if isinstance(other, AffineForm) else AffineForm.const(other)
-        return AffineForm(self.ax - o.ax, self.ay - o.ay, self.c - o.c,
-                          self.t - o.t)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return AffineForm(-self.ax, -self.ay, -self.c, -self.t)
-
-    def __mul__(self, k):
-        k = Fraction(k)
-        return AffineForm(self.ax * k, self.ay * k, self.c * k, self.t * k)
-
-    __rmul__ = __mul__
-
-    def eval(self, x, y, theta=None) -> Fraction:
-        v = self.ax * Fraction(x) + self.ay * Fraction(y) + self.c * 90
-        if self.t:
-            if theta is None:
-                raise ValueError("form mentions theta but no value given")
-            v += self.t * Fraction(theta)
-        return v
-
-    def __eq__(self, other):
-        return (isinstance(other, AffineForm) and self.ax == other.ax
-                and self.ay == other.ay and self.c == other.c
-                and self.t == other.t)
-
-    def __hash__(self):
-        return hash((self.ax, self.ay, self.c, self.t))
-
-    def __repr__(self):
-        bits = []
-        for coef, name in ((self.ax, "x"), (self.ay, "y")):
-            if coef:
-                bits.append(f"{'+' if coef > 0 else '-'} {abs(coef)}{name}")
-        if self.c:
-            bits.append(f"{'+' if self.c > 0 else '-'} {abs(self.c * 90)}")
-        if self.t:
-            bits.append(f"{'+' if self.t > 0 else '-'} {abs(self.t)}t")
-        if not bits:
-            return "0"
-        s = " ".join(bits)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-
 # --- trigonometric sums -----------------------------------------------
 
 def _canon_atom(kind: str, m: int, n: int, q: int):
@@ -502,16 +432,6 @@ class TrigPoly:
             return cls()
         coeff = Fraction(coeff)
         return cls._of({key: sign * coeff.numerator}, coeff.denominator)
-
-    @classmethod
-    def atom_of(cls, kind: str, form: AffineForm, coeff=1) -> "TrigPoly":
-        """Atom whose argument is an affine angle form; must be integral."""
-        m, n, q = form.ax, form.ay, form.c
-        if form.t != 0:
-            raise ValueError("trig argument still mentions theta")
-        if m.denominator != 1 or n.denominator != 1 or q.denominator != 1:
-            raise ValueError(f"non-integral trig argument {form!r}")
-        return cls.atom(kind, int(m), int(n), int(q), coeff)
 
     def is_zero(self) -> bool:
         return not self.coeffs

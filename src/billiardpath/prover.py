@@ -37,11 +37,10 @@ settles most failures from a handful of sines.  A retry gate marks an
 indeterminate square that no precision could pass, and ``cover`` does not
 retry it: its float form, with the same slack, marks most such squares
 before any exact sum, and its integer form, after the exact sums, the
-rest.  ``cover`` shares one kernel cache among the candidates of a
-square, and one memo of folded kernel values among the squares of a
-level.  Floats only ever skip work whose exact verdict is known ("fail",
-or "no precision can pass"), so every verdict and record is what the
-exact path alone would give.
+rest.  ``cover`` shares one memo of folded kernel values among the
+squares of a level.  Floats only ever skip work whose exact verdict is
+known ("fail", or "no precision can pass"), so every verdict and record
+is what the exact path alone would give.
 """
 
 from __future__ import annotations
@@ -434,19 +433,22 @@ def _hopeless(system: RegionSystem, angles, values, precision: int,
     return black_reach <= blue_reach
 
 
+def _along_segment(segment, points) -> bool:
+    """Whether every point's parameter along the segment (q0, q1), its dot
+    product with d = q1 - q0 taken from q0, lies in [0, |d|^2]."""
+    (x0, y0), (x1, y1) = segment
+    dx, dy = x1 - x0, y1 - y0
+    dd = dx * dx + dy * dy
+    return all(0 <= (px - x0) * dx + (py - y0) * dy <= dd
+               for px, py in points)
+
+
 def _chord_in_square(system: RegionSystem, square: Square):
     """Clip the system's line to the square; None when it misses, or the
     chord pokes past the polygon-clipped segment."""
     chord = line_segment_in_halfplanes(system.line.line, square.halfplanes())
-    if chord is None:
+    if chord is None or not _along_segment(system.line.segment, chord):
         return None
-    (q0, q1) = system.line.segment
-    dx, dy = q1[0] - q0[0], q1[1] - q0[1]
-    dd = dx * dx + dy * dy
-    for px, py in chord:
-        t = (px - q0[0]) * dx + (py - q0[1]) * dy
-        if not 0 <= t <= dd:
-            return None
     return chord
 
 
@@ -456,7 +458,6 @@ NO_PRECISION_PASSES = "no precision can pass"
 
 def certify_square(system: RegionSystem, square: Square,
                    precision: int = MIN_PRECISION,
-                   cache: dict | None = None,
                    memo: dict | None = None) -> Certificate:
     """Gradient step on one square: every black key point must outscore
     every blue one across the whole square.
@@ -550,12 +551,11 @@ def certify_square(system: RegionSystem, square: Square,
     is that "fail" with note ``CENTER_FAILS``, and otherwise the full
     screen runs.
 
-    ``cache`` maps atoms to kernel bounds at the square's center and one
-    precision, and may be shared by band systems certifying the same
-    square.  ``memo`` is the kernel's memo of folded angles
-    (``numeric.sin_scaled``) for the square's W and one precision, and
-    may be shared by every square with that W.  A line system evaluates
-    at its own chord midpoint and takes neither.
+    ``memo`` is the kernel's memo of folded angles (``numeric.sin_scaled``)
+    for the square's W and one precision, and may be shared by every
+    square with that W.  A line system evaluates at its own chord
+    midpoint and takes none.  The two exact sweeps share one map of atoms
+    to kernel bounds, local to the call.
     """
     if precision < MIN_PRECISION:
         raise ValueError(
@@ -567,9 +567,8 @@ def certify_square(system: RegionSystem, square: Square,
             return Certificate("fail", note="outside the code's polygon")
         X, Y, W = square.X, square.Y, square.W
     else:
-        if cache is not None or memo is not None:
-            raise ValueError("a line system takes no shared kernel cache "
-                             "or memo")
+        if memo is not None:
+            raise ValueError("a line system takes no shared kernel memo")
         chord = _chord_in_square(system, square)
         if chord is None:
             return Certificate("fail", note="line misses the square")
@@ -582,8 +581,7 @@ def certify_square(system: RegionSystem, square: Square,
     rad_lo, rad = _radians(square, precision)
     if _hopeless(system, angles, values, precision, rad_lo):
         return Certificate("indeterminate", note=NO_PRECISION_PASSES)
-    if cache is None:
-        cache = {}
+    cache: dict = {}
     scale = 10 ** precision
     bounds = atom_bounds(system.atoms, X, Y, W, precision, cache, memo)
     evals = []
@@ -878,9 +876,8 @@ def _cover_node(square: Square, depth: int, plans, hint, walls, system,
     are certified (``system`` maps a plan key to its region system).
     Indeterminate ones are retried at double precision unless the gate
     showed that no precision can pass; the first of them, retried or not,
-    leads the children's candidates.  Each precision p has one fresh
-    kernel cache for all candidates, all band systems evaluated at the
-    square's center, and the level's memo ``memos[p]``.
+    leads the children's candidates.  Each precision p uses the level's
+    kernel memo ``memos[p]``.
     """
     if not all(square.spread(a, b, c)[1] > 0 for a, b, c in walls):
         return None
@@ -893,10 +890,10 @@ def _cover_node(square: Square, depth: int, plans, hint, walls, system,
     todo = (plan for plan in cands if _inside(square, plan[1].faces))
     lead = None
     for p in (precision, 2 * precision):
-        cache, memo, retry = {}, memos.setdefault(p, {}), []
+        memo, retry = memos.setdefault(p, {}), []
         for plan in todo:
             got = system(plan[0])
-            cert = certify_square(got, square, p, cache, memo)
+            cert = certify_square(got, square, p, memo)
             if cert.passed:
                 return CoverRecord(square, plan[0][0], cert.margin, p,
                                    got.asg.symbol(1) + got.asg.symbol(2))
@@ -1035,13 +1032,8 @@ def triple_rule(square: Square, r1: RegionSystem, r2: RegionSystem,
     for cx, cy in square.corners():
         if not line_value - 180 < a * cx + b * cy < line_value + 180:
             return "fail"
-    (q0, q1) = r3.line.segment
-    dx, dy = q1[0] - q0[0], q1[1] - q0[1]
-    dd = dx * dx + dy * dy
-    for cx, cy in square.corners():
-        t = (cx - q0[0]) * dx + (cy - q0[1]) * dy
-        if not 0 <= t <= dd:
-            return "fail"
+    if not _along_segment(r3.line.segment, square.corners()):
+        return "fail"
     cache: dict = {}
 
     def holds(polys, flip):

@@ -456,21 +456,15 @@ def all_assignments(code: CodeSequence) -> list:
 SYMBOL_FORMS = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (-1, -1, 2)}
 
 
-def symbol_value(symbol: str):
-    """Angle value of a symbol as an affine form in (x, y)."""
-    from .numeric import AffineForm
-    if symbol not in SYMBOL_FORMS:
-        raise ValueError(f"unknown angle symbol {symbol!r}")
-    return AffineForm(*SYMBOL_FORMS[symbol])
+def form_degrees(form, x, y) -> Fraction:
+    """Degrees of an integer angle triple (ax, ay, q), ax*x + ay*y + q*90,
+    at rational (x, y)."""
+    ax, ay, q = form
+    return ax * Fraction(x) + ay * Fraction(y) + 90 * q
 
 
 def symbol_degrees(symbol: str, x, y) -> Fraction:
     """Numeric angle value of a symbol at rational (x, y)."""
-    x, y = Fraction(x), Fraction(y)
-    if symbol == "X":
-        return x
-    if symbol == "Y":
-        return y
-    if symbol == "Z":
-        return 180 - x - y
-    raise ValueError(f"unknown angle symbol {symbol!r}")
+    if symbol not in SYMBOL_FORMS:
+        raise ValueError(f"unknown angle symbol {symbol!r}")
+    return form_degrees(SYMBOL_FORMS[symbol], x, y)

@@ -97,14 +97,6 @@ class TowerPoint:
         self.color = color
         self.label = label
 
-    @property
-    def family(self):
-        """Chain points alternate B0, A0, B1, A1, ...; arc interiors are C."""
-        m, j = self.label
-        if j != 0:
-            return ("C", j)
-        return ("B", (m - 1) // 2) if m % 2 else ("A", (m - 2) // 2)
-
     def __repr__(self):
         m, j = self.label
         return f"L({m},{j})[{self.color}]"
@@ -232,8 +224,8 @@ class SymbolicTower:
 
     def _shoot(self):
         if self.theta is not None:
-            self.shooting = (TrigPoly.atom_of("cos", self.theta, -1),
-                             TrigPoly.atom_of("sin", self.theta))
+            self.shooting = (TrigPoly.atom("cos", *self.theta, -1),
+                             TrigPoly.atom("sin", *self.theta))
             self.shooting_kind = "angle"
         else:
             a0, top = self.centers[1], self.centers[-1]
@@ -329,10 +321,6 @@ class Tower:
     @property
     def code(self) -> CodeSequence:
         return self.sym.code
-
-    @property
-    def triangle(self) -> "Triangle":
-        return Triangle(self.x, self.y)
 
     def locate(self, point: TowerPoint):
         """Interval coordinate pair of a tower point."""

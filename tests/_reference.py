@@ -4,14 +4,18 @@ Each is written the slow, direct way, one letter pair or one assignment at
 a time, so the tests can check the fast forms against them: the symbol
 walk of ``assign_angles`` on letters, the stability defect over the
 doubled traversal, the corner box of one assignment, and the plan list
-``cover`` built from those.
+``cover`` built from those.  ``AffineForm`` is the angle form of rational
+coefficients that the integer triples of ``SYMBOL_FORMS`` replaced;
+``solve_theta`` solves the shooting angle on it, halving as it goes.
 """
 
 from fractions import Fraction
 
-from billiardpath.classify import angle_bounding_polygon
+from billiardpath.classify import (angle_bounding_polygon,
+                                   palindromic_pivots,
+                                   shooting_angle_sequence)
 from billiardpath.prover import _box, _meets
-from billiardpath.sequences import AngleAssignment
+from billiardpath.sequences import SYMBOL_FORMS, AngleAssignment
 
 PAIRS = [(a, b) for a in "XYZ" for b in "XYZ" if a != b]
 
@@ -93,3 +97,64 @@ def cover_plans(codes, root):
             if not poly.is_empty:
                 plans.append(((i, j), poly, _box(poly.bbox())))
     return plans
+
+
+class AffineForm:
+    """Angle expression ax*x + ay*y + c*90 + t*theta, in degrees, with
+    rational coefficients."""
+
+    __slots__ = ("ax", "ay", "c", "t")
+
+    def __init__(self, ax=0, ay=0, c=0, t=0):
+        self.ax = Fraction(ax)
+        self.ay = Fraction(ay)
+        self.c = Fraction(c)
+        self.t = Fraction(t)
+
+    @classmethod
+    def const(cls, degrees):
+        return cls(0, 0, Fraction(degrees) / 90, 0)
+
+    def coeffs(self):
+        return self.ax, self.ay, self.c, self.t
+
+    def __add__(self, other):
+        return AffineForm(*(a + b for a, b in
+                            zip(self.coeffs(), other.coeffs())))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, k):
+        return AffineForm(*(Fraction(k) * a for a in self.coeffs()))
+
+    __rmul__ = __mul__
+
+
+def symbol_value(symbol):
+    """Angle value of a symbol as an ``AffineForm`` in (x, y)."""
+    return AffineForm(*SYMBOL_FORMS[symbol])
+
+
+def solve_theta(code, asg):
+    """The first shooting angle as an ``AffineForm``, or None: half of
+    180 plus the alternating fan turns for an odd code, else the right
+    angle at the first palindromic pivot."""
+    k, c = len(code), code.codes
+    if k % 2:
+        s = AffineForm.const(180)
+        for i in range(1, k + 1):
+            v = c[i - 1] * symbol_value(asg.symbol(i))
+            s = (s + v) if i % 2 == 0 else (s - v)
+        return s * Fraction(1, 2)
+    pivots = palindromic_pivots(code)
+    if not pivots:
+        return None
+    p = pivots[0]
+    ax, ay, phi_c, t = shooting_angle_sequence(code, asg)[p - 1]
+    target = (AffineForm.const(180) - c[p - 1] * symbol_value(asg.symbol(p))) \
+        * Fraction(1, 2)
+    return (target - AffineForm(ax, ay, phi_c, 0)) * (1 if t > 0 else -1)

@@ -3,14 +3,16 @@
 Terms are (coeff, kind, m, n) for coeff * kind(m*x + n*y) in degrees.
 The reference sums fold one chain step through the y = x identity, so
 they match the fully symbolic columns only after substituting y = x,
-which ``substitute_line`` does.  ``reduce_on_line`` restricts an affine
-angle form to a line the same way, for checking the paper's
+which ``substitute_line`` does.  ``reduce_on_line`` restricts a reference
+``AffineForm`` to a line the same way, for checking the paper's
 shooting-angle formulas.
 """
 
 from fractions import Fraction
 
-from billiardpath.numeric import AffineForm, TrigPoly
+from billiardpath.numeric import TrigPoly
+
+from _reference import AffineForm
 
 
 def substitute_line(poly, s, t):

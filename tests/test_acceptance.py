@@ -16,6 +16,7 @@ import random
 import time
 from fractions import Fraction
 
+from _reference import AffineForm
 from _worked_example import (C_REFERENCE, D_REFERENCE, reduce_on_line,
                              substitute_line)
 from billiardpath.classify import (angle_bounding_polygon,
@@ -31,7 +32,8 @@ from billiardpath.prover import (PRESETS, Square, certify_square, cover,
                                  region_system)
 from billiardpath.sequences import (AlphabetSequence, CodeSequence,
                                     all_assignments, assign_angles,
-                                    automaton_legal, reduces_to_empty)
+                                    automaton_legal, form_degrees,
+                                    reduces_to_empty)
 from billiardpath.tower import Triangle, symbolic_tower, unfold
 from billiardpath.tower import test_I as band_test
 from billiardpath.tower import test_II as pruned_band_test
@@ -119,7 +121,7 @@ def test_03_reference_paths_pass_and_thetas_match_oracle():
         orb = find_orbit(Triangle(F(x), F(y)), repeat, seed=0,
                          starts=[assignment_start(repeat, asg4)])
         assert orb is not None, f"no closed path found at ({x}, {y})"
-        worst = max(worst, abs(orb.theta - float(th.eval(F(x), F(y)))))
+        worst = max(worst, abs(orb.theta - float(form_degrees(th, x, y))))
     print(f"shooting angles on 10 right triangles: worst gap "
           f"{worst:.2e} deg")
     assert worst < 1e-6
@@ -141,11 +143,11 @@ def test_05_shooting_angle_formulas_are_exact():
     long_code = CodeSequence([1, 1, 1, 1, 2, 1, 1, 1, 1, 2])
     th = solve_theta(long_code, assign_angles(long_code, "X", "Y"))
     # x + y - 90, the 90 carried as one unit of the constant slot
-    assert (th.ax, th.ay, th.c, th.t) == (1, 1, -1, 0)
+    assert th == (1, 1, -1)
 
     bent = CodeSequence([1, 2, 1, 6])
     line, asg = canonical_unstable_line(bent)
-    on_line = reduce_on_line(solve_theta(bent, asg), line)
+    on_line = reduce_on_line(AffineForm(*solve_theta(bent, asg)), line)
     # 90 - 3x once restricted to the code's own line
     assert (on_line.ax, on_line.ay, on_line.c, on_line.t) == (-3, 0, 1, 0)
 

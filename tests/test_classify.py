@@ -36,7 +36,7 @@ def coeffs(form):
     """(ax, ay, c, t) of an integer form tuple or of an ``AffineForm``."""
     if isinstance(form, tuple):
         return form
-    return form.ax, form.ay, form.c, form.t
+    return form.coeffs()
 
 
 def test_classification_examples():
@@ -144,24 +144,50 @@ def test_fan_expansion_omits_even_middle():
 def test_solve_theta():
     code = CodeSequence.parse("1 1 1 1 2 1 1 1 1 2")
     th = solve_theta(code, assign_angles(code, "X", "Y"))
-    assert coeffs(th) == (1, 1, -1, 0)
+    assert th == (1, 1, -1)
 
     code = CodeSequence.parse("1 1 1")
     th = solve_theta(code, assign_angles(code, "X", "Y"))
-    assert coeffs(th) == (0, 1, 0, 0)
+    assert th == (0, 1, 0)
 
     code = CodeSequence.parse("1 1 2 2 5")
     th = solve_theta(code, assign_angles(code, "Z", "Y"))
-    assert coeffs(th) == (-3, 2, 0, 0)
+    assert th == (-3, 2, 0)
 
     code = CodeSequence.parse("1 2 1 6")
     th = solve_theta(code, assign_angles(code, "Y", "Z"))
-    assert coeffs(th) == (-1, -2, 3, 0)
-    assert coeffs(reduce_on_line(th, (1, -1, -1))) == (-3, 0, 1, 0)
+    assert th == (-1, -2, 3)
+    assert coeffs(reduce_on_line(_reference.AffineForm(*th), (1, -1, -1))) \
+        == (-3, 0, 1, 0)
 
     code = CodeSequence.parse("1 1 2 1 3 2")
     for asg in all_assignments(code):
         assert solve_theta(code, asg) is None
+
+
+def test_solve_theta_matches_the_rational_reference():
+    # every corpus code and seeded legal codes of length 2-11, under each
+    # assignment: the integer triple is the reference's halved rational
+    # form, None exactly where the reference is; twice theta is never odd
+    codes = [e.code for e in load_default_corpus()]
+    rng = random.Random(41)
+    for _ in range(3000):
+        code = CodeSequence([rng.randrange(1, 10)
+                             for _ in range(rng.randrange(2, 12))])
+        if code.is_legal():
+            codes.append(code)
+    solved = 0
+    for code in codes:
+        for asg in all_assignments(code):
+            got, want = solve_theta(code, asg), _reference.solve_theta(code,
+                                                                      asg)
+            if want is None:
+                assert got is None, (code, asg)
+                continue
+            solved += 1
+            assert type(got) is tuple and all(type(v) is int for v in got)
+            assert (*got, 0) == want.coeffs(), (code, asg)
+    assert solved > 1500
 
 
 def test_solve_theta_none_without_shape():

@@ -21,7 +21,7 @@ from billiardpath.numeric import (
     simplify,
     sin_scaled,
 )
-from billiardpath.sequences import symbol_value
+from billiardpath.sequences import SYMBOL_FORMS, form_degrees, symbol_degrees
 
 
 def test_interval_ring_ops():
@@ -473,6 +473,7 @@ def test_simplify_matches_fraction_rule_per_atom_count(count):
 
 
 def test_affine_z_identity():
-    z = symbol_value("Z")
-    assert z.eval(40, 60) == 80
-    assert (symbol_value("X") + symbol_value("Y") + z).eval(11, 22) == 180
+    assert form_degrees(SYMBOL_FORMS["Z"], 40, 60) == 80
+    assert symbol_degrees("Z", F(1, 3), 60) == F(359, 3)
+    total = tuple(map(sum, zip(*SYMBOL_FORMS.values())))
+    assert total == (0, 0, 2) and form_degrees(total, 11, 22) == 180

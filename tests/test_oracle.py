@@ -10,14 +10,15 @@ from billiardpath.oracle import (RayState, assignment_start, find_orbit,
                                  start_assignment, trace,
                                  unfold_by_reflection)
 from billiardpath.sequences import (CodeSequence, all_assignments,
-                                    assign_angles, code_to_side)
+                                    assign_angles, code_to_side,
+                                    form_degrees)
 from billiardpath.tower import Triangle, symbolic_tower, unfold
 from billiardpath.tower import test_I as band_test
 from billiardpath.tower import test_II as pruned_band_test
 
 
 def theta_value(form, x, y):
-    return float(form.ax) * x + float(form.ay) * y + float(form.c) * 90
+    return float(form_degrees(form, x, y))
 
 
 class TestTrace:

@@ -198,8 +198,8 @@ def traced_cover(target, codes):
     real_center_fails = prover._center_fails
     real_witness = prover._witness_fails
 
-    def certify(system, square, precision=7, cache=None, memo=None):
-        cert = real_certify(system, square, precision, cache, memo)
+    def certify(system, square, precision=7, memo=None):
+        cert = real_certify(system, square, precision, memo)
         calls.append((system, square, precision, cert))
         return cert
 
@@ -744,9 +744,9 @@ class TestCover:
 
         real_certify, seen, share = prover.certify_square, [], [True]
 
-        def certify(system, square, precision=7, cache=None, memo=None):
+        def certify(system, square, precision=7, memo=None):
             seen.append((square.W, precision, len(memo)))
-            return real_certify(system, square, precision, cache,
+            return real_certify(system, square, precision,
                                 memo if share[0] else None)
 
         monkeypatch.setattr(numeric, "_sin_folded", kernel)
@@ -1009,8 +1009,7 @@ def integer_gate_only(monkeypatch):
 
 class TestFilters:
     """The float screen and the float and integer retry gates of
-    ``certify_square``, and the kernel cache ``cover`` shares across a
-    square's candidates, against the exact reference."""
+    ``certify_square`` against the exact reference."""
 
     @pytest.mark.parametrize("run", ["deep_run", "thin_run"])
     def test_verdicts_match_the_exact_reference(self, run, request):
@@ -1360,8 +1359,8 @@ class TestFilters:
         assert certify_square(rebuilt, square).note == CENTER_FAILS
         assert rebuilt.witness is not None
 
-    def test_line_system_takes_no_shared_cache(self, repeat_zx):
-        with pytest.raises(ValueError, match="cache"):
+    def test_line_system_takes_no_shared_memo(self, repeat_zx):
+        with pytest.raises(ValueError, match="memo"):
             certify_square(repeat_zx, Square(30, 60, F(1, 2)), 7, {})
 
 

@@ -8,9 +8,9 @@ import pytest
 
 from billiardpath.classify import angle_bounding_polygon, classify_code
 from billiardpath.corpus import load_default_corpus
-from billiardpath.numeric import AffineForm, Interval, TrigPoly, simplify
+from billiardpath.numeric import Interval, TrigPoly, simplify
 from billiardpath.sequences import (CodeSequence, all_assignments,
-                                    assign_angles, symbol_value, third_symbol)
+                                    assign_angles, third_symbol)
 from billiardpath import tower as tower_module
 from billiardpath.tower import (BLACK, BLUE, FanAngleError, PrecisionError,
                                 ShapeError, SymbolicTower, _judge,
@@ -22,6 +22,7 @@ from billiardpath.tower import test_I as band_test
 from billiardpath.tower import test_II as pruned_band_test
 from billiardpath.tower import test_III as shape_test
 
+from _reference import AffineForm, symbol_value
 from _worked_example import (C_ON_AXIS, C_REFERENCE, CHAIN_STEPS, D_ON_AXIS,
                              D_REFERENCE, G_C_REFERENCE, G_D_REFERENCE,
                              WORKED_CODES, WORKED_FIRST, WORKED_LETTERS,
