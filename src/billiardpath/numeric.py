@@ -28,7 +28,9 @@ angle form, an integer triple (m, n, q) as in ``sequences.SYMBOL_FORMS``,
 for m*x + n*y + q*90 degrees.  Product-to-sum rewriting halves and
 ``simplify`` doubles, so the towers' sums only ever meet powers of two;
 sums, products and ``simplify``'s expansion run on ``int`` by one
-product-to-sum rule, and ``terms`` gives the exact rationals.
+product-to-sum rule, and ``terms`` gives the exact rationals.  A tower's
+steps are two-atom products, which ``atom_product`` expands by that rule
+alone.
 """
 
 from __future__ import annotations
@@ -453,6 +455,24 @@ class TrigPoly:
     def __sub__(self, other):
         return self + (-other)
 
+    @classmethod
+    def total(cls, polys) -> "TrigPoly":
+        """The sum of ``polys``, added into one dict over their common
+        denominator: linear in their terms, where a chain of ``+`` copies
+        the running sum at every step."""
+        polys = list(polys)
+        den = lcm(*(p.den for p in polys))
+        out: dict = {}
+        for p in polys:
+            k = den // p.den
+            for key, c in p.coeffs.items():
+                s = out.get(key, 0) + c * k
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return cls._of(out, den)
+
     def __neg__(self):
         return TrigPoly._of({k: -c for k, c in self.coeffs.items()}, self.den)
 
@@ -585,6 +605,18 @@ class TrigPoly:
             bits.append(("+ " if sign > 0 else "- ") + body)
         s = " ".join(bits)
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+def atom_product(coeff: int, a, b) -> TrigPoly:
+    """``simplify([(coeff, [a, b])])`` for an integer ``coeff`` and two
+    atoms (kind, m, n, q): the doubled product is one product-to-sum over
+    the folded atoms, with integer coefficients."""
+    sa, ka = _canon_atom(*a)
+    sb, kb = _canon_atom(*b)
+    out: dict = {}
+    if coeff and ka is not None and kb is not None:
+        _product_to_sum(out, *ka, *kb, sa * sb * coeff)
+    return TrigPoly._of(out, 1)
 
 
 def simplify(products) -> TrigPoly:

@@ -461,10 +461,3 @@ def form_degrees(form, x, y) -> Fraction:
     at rational (x, y)."""
     ax, ay, q = form
     return ax * Fraction(x) + ay * Fraction(y) + 90 * q
-
-
-def symbol_degrees(symbol: str, x, y) -> Fraction:
-    """Numeric angle value of a symbol at rational (x, y)."""
-    if symbol not in SYMBOL_FORMS:
-        raise ValueError(f"unknown angle symbol {symbol!r}")
-    return form_degrees(SYMBOL_FORMS[symbol], x, y)

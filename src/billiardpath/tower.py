@@ -7,17 +7,22 @@ three tests below check that sign condition over all vertices, over the
 per-fan key points only, and over the key points clamped between the two
 special perpendicular sides.
 
-Coordinates are built once per (code, assignment) as trig polynomials,
-doubled so all coefficients are integers, and only evaluated to intervals
-at a concrete (x, y).  The build is linear in the code's length: each
-chain center is the previous center plus one simplified product, each arc
-point its fan's center plus one, and a turning score is its base point's
-score plus the product of that one step with the shooting vector.  Angles
-are the integer triples (ax, ay, q) of ``SYMBOL_FORMS``, for ax*x + ay*y +
-q*90 degrees, passed to ``simplify`` as atoms.  ``Tower.score`` forms
-d*px - c*py as integer ends from those that ``TrigPoly.bounds`` gives, and
-the tests decide on them by ``separation``, as ``prover.certify_square``
-does.
+Coordinates are trig polynomials in (x, y), doubled so all coefficients
+are integers, and only evaluated to intervals at a concrete (x, y).  The
+build of one (code, assignment) is linear in the code's length: each point
+but the first center is a step off a base point, the previous center or
+its fan's center, and a step is one product of two atoms
+(``numeric.atom_product``).  A point's coordinates are summed along its
+steps on first read, so only the points a test reads are expanded, and a
+turning score is its base point's score plus the product of that one step
+with the shooting vector.  The end displacements A_last - A0 and B_last -
+B0 are sums of steps; where they are equal, as on every stable code, the
+second closure polynomial is the first.  Angles are the integer triples
+(ax, ay, q) of ``SYMBOL_FORMS``, for ax*x + ay*y + q*90 degrees, and the
+fan check compares the widest fan of each letter with 180 degrees on the
+triangle's homogeneous integers.  ``Tower.score`` forms d*px - c*py as
+integer ends from those that ``TrigPoly.bounds`` gives, and the tests
+decide on them by ``separation``, as ``prover.certify_square`` does.
 
 The key-point test drops a key point whose score equals a kept one's of
 its color.  ``pruned_key_points`` finds those without expanding scores: a
@@ -38,13 +43,13 @@ from functools import lru_cache
 
 from .classify import angle_bounding_polygon, palindromic_pivots, solve_theta
 from .geometry import to_homogeneous
-from .numeric import MIN_PRECISION, Interval, TrigPoly, atom_angle, simplify
+from .numeric import (MIN_PRECISION, Interval, TrigPoly, atom_angle,
+                      atom_product, simplify)
 from .sequences import (
     SYMBOL_FORMS,
     AngleAssignment,
     CodeSequence,
     assign_angles,
-    symbol_degrees,
     third_symbol,
 )
 
@@ -87,15 +92,44 @@ def _sin_atom(letter: str):
 
 
 class TowerPoint:
-    """One unfolded vertex: doubled coordinates, color, L-label."""
+    """One unfolded vertex: doubled coordinates, color, L-label.
 
-    __slots__ = ("px", "py", "color", "label")
+    Every point but the first chain center has a ``step`` (base point,
+    dpx, dpy): its coordinates are the base's plus (dpx, dpy).  ``px`` and
+    ``py`` are expanded along the steps on first read, and kept on every
+    point passed; building a tower expands none.
+    """
 
-    def __init__(self, px: TrigPoly, py: TrigPoly, color: str, label):
-        self.px = px
-        self.py = py
+    __slots__ = ("_px", "_py", "step", "color", "label")
+
+    def __init__(self, color: str, label, step=None, px=None, py=None):
+        self.step = step
+        self._px = px
+        self._py = py
         self.color = color
         self.label = label
+
+    def _expand(self):
+        chain, p = [], self
+        while p._px is None:
+            chain.append(p)
+            p = p.step[0]
+        for p in reversed(chain):
+            base, dpx, dpy = p.step
+            p._px = base._px + dpx
+            p._py = base._py + dpy
+
+    @property
+    def px(self) -> TrigPoly:
+        if self._px is None:
+            self._expand()
+        return self._px
+
+    @property
+    def py(self) -> TrigPoly:
+        if self._py is None:
+            self._expand()
+        return self._py
 
     def __repr__(self):
         m, j = self.label
@@ -119,15 +153,13 @@ class Fan:
         c = self.count
         return [self.arc[j] for j in sorted({0, 1, c - 1, c}) if 0 <= j <= c]
 
-    def central_degrees(self, x, y) -> Fraction:
-        return self.count * symbol_degrees(self.letter, x, y)
-
 
 class SymbolicTower:
     """Tower geometry of one code and assignment, independent of (x, y).
 
-    Immutable once built, apart from the memos of turning scores and of
-    the pruned key points, and cached per (code numbers, seed letters).
+    Immutable once built, apart from the coordinates its points expand on
+    first read and the memos of turning scores and of the pruned key
+    points, and cached per (code numbers, seed letters).
     """
 
     def __init__(self, code: CodeSequence, asg: AngleAssignment):
@@ -143,8 +175,6 @@ class SymbolicTower:
         self.asg = asg
         self._scores: dict = {}
         self._pruned = None
-        # point id -> (base point, px - base.px, py - base.py)
-        self._steps: dict = {}
         self._build()
         self._shoot()
 
@@ -167,20 +197,19 @@ class SymbolicTower:
             tx, ty, tq = t_forms[m - 1]
             t_forms.append((k * vx - tx, k * vy - ty, k * vq - tq))
 
-        # each center adds one chain product onto the previous center, so
-        # a code of length n expands O(n) products, not O(n^2)
-        centers = [self._point(
-            simplify([(1, [_sin_atom(third_symbol(letter(0), letter(1)))])]),
-            TrigPoly(), 1)]
+        # each center is the previous one plus one step, a product of two
+        # atoms, so a code of length n builds O(n) steps of O(1) terms
+        centers = [TowerPoint(BLACK, (1, 0), px=simplify(
+            [(1, [_sin_atom(third_symbol(letter(0), letter(1)))])]),
+            py=TrigPoly())]
         for m in range(1, n + 2):
             u_atom = _sin_atom(third_symbol(letter(m - 1), letter(m)))
             t_prev = t_forms[m - 1]
             sign = 1 if m % 2 == 0 else -1
-            dpx = simplify([(sign, [u_atom, ("cos",) + t_prev])])
-            dpy = simplify([(1, [u_atom, ("sin",) + t_prev])])
-            prev = centers[-1]
-            centers.append(self._point(prev.px + dpx, prev.py + dpy, m + 1))
-            self._steps[id(centers[-1])] = (prev, dpx, dpy)
+            step = (centers[-1], atom_product(sign, u_atom, ("cos",) + t_prev),
+                    atom_product(1, u_atom, ("sin",) + t_prev))
+            centers.append(TowerPoint(BLUE if m % 2 else BLACK, (m + 1, 0),
+                                      step))
         self.centers = centers  # L_1 .. L_{n+2}
 
         fans = []
@@ -197,20 +226,24 @@ class SymbolicTower:
             else:
                 dx, dy, dq, sigma = tx, ty, tq + 2, -1
             center = centers[m - 1]
+            color = BLACK if m % 2 == 0 else BLUE
             arc = [centers[i - 1]]
             for j in range(1, count):
                 k = sigma * j
                 ang = (dx + k * vx, dy + k * vy, dq + k * vq)
                 radius = radius_even if j % 2 == 0 else radius_odd
-                dpx = simplify([(1, [radius, ("cos",) + ang])])
-                dpy = simplify([(1, [radius, ("sin",) + ang])])
-                color = BLACK if m % 2 == 0 else BLUE
-                arc.append(TowerPoint(center.px + dpx, center.py + dpy,
-                                      color, (m, j)))
-                self._steps[id(arc[-1])] = (center, dpx, dpy)
+                arc.append(TowerPoint(color, (m, j), (
+                    center, atom_product(1, radius, ("cos",) + ang),
+                    atom_product(1, radius, ("sin",) + ang))))
             arc.append(centers[i + 1])
             fans.append(Fan(i, count, letter(i), center, arc))
         self.fans = fans
+        # (n, form) of the largest fan of each letter: the widest openings
+        widest: dict = {}
+        for fan in fans:
+            widest[fan.letter] = max(widest.get(fan.letter, 0), fan.count)
+        self.widest_fans = tuple((k, SYMBOL_FORMS[s])
+                                 for s, k in sorted(widest.items()))
 
         self.points = list(centers)
         for fan in fans:
@@ -218,55 +251,55 @@ class SymbolicTower:
         self.base = (centers[1], centers[0])        # A0, B0
         self.top = (centers[n + 1], centers[n])     # A_last, B_last
 
-    @staticmethod
-    def _point(px: TrigPoly, py: TrigPoly, m: int) -> TowerPoint:
-        return TowerPoint(px, py, BLUE if m % 2 == 0 else BLACK, (m, 0))
-
     def _shoot(self):
+        # the end displacements A_last - A0 and B_last - B0, each the sum
+        # of the steps between, so no center is expanded
+        steps = [p.step for p in self.centers[1:]]
+        a_end, b_end = ((TrigPoly.total(s[1] for s in run),
+                         TrigPoly.total(s[2] for s in run))
+                        for run in (steps[1:], steps[:-1]))
         if self.theta is not None:
             self.shooting = (TrigPoly.atom("cos", *self.theta, -1),
                              TrigPoly.atom("sin", *self.theta))
             self.shooting_kind = "angle"
         else:
-            a0, top = self.centers[1], self.centers[-1]
-            self.shooting = (top.px - a0.px, top.py - a0.py)
+            self.shooting = a_end
             self.shooting_kind = "chain"
         # the band repeats only if both end displacements run along the
         # shooting direction; stable codes satisfy this identically and
         # the polynomials below collapse to zero.  A chain's shooting
         # vector is the A displacement itself, so its first one is zero
-        # by construction and is not expanded
+        # by construction; where the B displacement equals the A one (on
+        # every stable code) the second is the first
         c, d = self.shooting
-        a0, b0 = self.centers[1], self.centers[0]
-        an, bm = self.centers[-1], self.centers[-2]
         first = TrigPoly() if self.shooting_kind == "chain" else \
-            (an.px - a0.px) * d - (an.py - a0.py) * c
-        self.closure = (first, (bm.px - b0.px) * d - (bm.py - b0.py) * c)
+            a_end[0] * d - a_end[1] * c
+        second = first if b_end == a_end else b_end[0] * d - b_end[1] * c
+        self.closure = (first, second)
 
     # -- derived symbolic data -----------------------------------------
 
     def score_poly(self, point: TowerPoint) -> TrigPoly:
         """Turning score d*px - c*py against the shooting vector (c, d).
 
-        Every point but the first center is its base point plus one
-        simplified product, so scores are built as deltas off the base's
-        score; long codes would otherwise pay a full product per point.
+        Every point but the first center is its base point plus one step,
+        so scores are built as deltas off the base's score; long codes
+        would otherwise pay a full product per point.
         """
         chain = []
         got = self._scores.get(id(point))
         while got is None:
             chain.append(point)
-            step = self._steps.get(id(point))
-            if step is None:
+            if point.step is None:
                 break
-            point = step[0]
+            point = point.step[0]
             got = self._scores.get(id(point))
         c, d = self.shooting
         for p in reversed(chain):
             if got is None:
                 got = d * p.px - c * p.py
             else:
-                _, dpx, dpy = self._steps[id(p)]
+                _, dpx, dpy = p.step
                 got = got + d * dpx - c * dpy
             self._scores[id(p)] = got
         return got
@@ -365,8 +398,12 @@ class Tower:
                 da * cb * 10 ** (2 * self.precision))
 
     def fan_angles_below_180(self) -> bool:
-        return all(f.central_degrees(self.x, self.y) < 180
-                   for f in self.sym.fans)
+        """Every fan opens below 180 degrees: n * (ax*X + ay*Y + 90q*W) <
+        180W for the largest fan n of each letter, its angle's triple
+        (ax, ay, q) and the triangle's homogeneous (X, Y, W), W > 0."""
+        X, Y, W = self._hom
+        return all(n * (ax * X + ay * Y + 90 * q * W) < 180 * W
+                   for n, (ax, ay, q) in self.sym.widest_fans)
 
     def band_refuted(self) -> bool:
         """True when some end displacement certainly leaves the shooting
@@ -570,17 +607,16 @@ def _probe_point(sym: SymbolicTower, point: TowerPoint, memo: dict):
     got = memo.get(id(point))
     while got is None:
         chain.append(point)
-        step = sym._steps.get(id(point))
-        if step is None:
+        if point.step is None:
             break
-        point = step[0]
+        point = point.step[0]
         got = memo.get(id(point))
     for p in reversed(chain):
         if got is None:
             dpx, dpy = p.px, p.py
             got = (0.0, 0.0, 0.0, 0)
         else:
-            _, dpx, dpy = sym._steps[id(p)]
+            _, dpx, dpy = p.step
         fx, wx, kx = _probe_poly(dpx)
         fy, wy, ky = _probe_poly(dpy)
         got = memo[id(p)] = (got[0] + fx, got[1] + fy, got[2] + wx + wy,

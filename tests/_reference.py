@@ -7,6 +7,8 @@ doubled traversal, the corner box of one assignment, and the plan list
 ``cover`` built from those.  ``AffineForm`` is the angle form of rational
 coefficients that the integer triples of ``SYMBOL_FORMS`` replaced;
 ``solve_theta`` solves the shooting angle on it, halving as it goes.
+``symbol_degrees`` is a symbol's angle in ``Fraction`` degrees, the rule
+the towers' integer fan check replaced.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from billiardpath.classify import (angle_bounding_polygon,
                                    palindromic_pivots,
                                    shooting_angle_sequence)
 from billiardpath.prover import _box, _meets
-from billiardpath.sequences import SYMBOL_FORMS, AngleAssignment
+from billiardpath.sequences import SYMBOL_FORMS, AngleAssignment, form_degrees
 
 PAIRS = [(a, b) for a in "XYZ" for b in "XYZ" if a != b]
 
@@ -132,6 +134,13 @@ class AffineForm:
         return AffineForm(*(Fraction(k) * a for a in self.coeffs()))
 
     __rmul__ = __mul__
+
+
+def symbol_degrees(symbol: str, x, y) -> Fraction:
+    """Numeric angle value of a symbol at rational (x, y)."""
+    if symbol not in SYMBOL_FORMS:
+        raise ValueError(f"unknown angle symbol {symbol!r}")
+    return form_degrees(SYMBOL_FORMS[symbol], x, y)
 
 
 def symbol_value(symbol):

@@ -284,6 +284,16 @@ class TestTower:
         assert "theta: 2x + y - 90 = 30.000000 deg" in out
         assert "perpendicular line test: pass" in out
 
+    def test_unstable_off_line(self, capsys):
+        # end displacements that differ, and a Z fan of 4 at z = 90
+        code, out, _ = run(capsys, "tower", "1 2 1 4", "--at", "50,40")
+        assert code == 0
+        lines = out.splitlines()
+        assert "full-chain test: fail, margin ~-1.26605, 7 blue x 3 black" \
+            in lines
+        assert "pruned band test: not applicable (a fan opens to 180 " \
+            "degrees or more)" in lines
+
     def test_svg(self, capsys, tmp_path):
         svg = tmp_path / "tower.svg"
         code, _, _ = run(capsys, "tower", "1 1 1", "--at", "60,60",

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from _reference import symbol_degrees
 from _worked_example import substitute_line
 from billiardpath.numeric import (
     Interval,
@@ -14,6 +15,7 @@ from billiardpath.numeric import (
     _canon_atom,
     _pi_bracket,
     _sin_series_bracket,
+    atom_product,
     enclose_cos,
     enclose_sin,
     pi_enclosure,
@@ -21,7 +23,7 @@ from billiardpath.numeric import (
     simplify,
     sin_scaled,
 )
-from billiardpath.sequences import SYMBOL_FORMS, form_degrees, symbol_degrees
+from billiardpath.sequences import SYMBOL_FORMS, form_degrees
 
 
 def test_interval_ring_ops():
@@ -470,6 +472,37 @@ def test_simplify_matches_fraction_rule_per_atom_count(count):
         got = simplify(products)
         assert_canonical(got)
         assert got.terms == reference_simplify(products)
+
+
+def test_atom_product_is_simplify_of_one_pair():
+    # the towers' steps: an integer coefficient times two atoms, the
+    # second often on the first's argument (sums cancel, sin(0) drops
+    # out) or vanishing itself; same polynomial, key order and
+    # denominator as the general expander
+    rng = random.Random(25)
+    for _ in range(600):
+        a, b = random_atoms(rng, 2)
+        if rng.randrange(2):
+            b = (rng.choice(("sin", "cos")), a[1], a[2], rng.randrange(-2, 3))
+        if not rng.randrange(8):
+            b = ("sin", 0, 0, rng.choice((0, 2)))
+        coeff = rng.randrange(-3, 4)
+        got, want = atom_product(coeff, a, b), simplify([(coeff, [a, b])])
+        assert_canonical(got)
+        assert got == want and list(got.coeffs) == list(want.coeffs)
+
+
+def test_total_is_the_chained_sum():
+    rng = random.Random(26)
+    for _ in range(200):
+        polys = [TrigPoly(random_poly(rng)) for _ in range(rng.randrange(5))]
+        want = TrigPoly()
+        for p in polys:
+            want = want + p
+        got = TrigPoly.total(polys)
+        assert_canonical(got)
+        assert got == want
+        assert TrigPoly.total(iter(polys)) == want
 
 
 def test_affine_z_identity():

@@ -521,6 +521,32 @@ class TestCertify:
         assert cert.passed
         assert cert.margin == F(114, 10 ** 7)
 
+    @pytest.mark.parametrize("r, want", [
+        (F(1, 2), ("pass", F(406109, 10 ** 8))),
+        (1, ("pass", F(3604163, 10 ** 9))),
+        (2, ("pass", F(1776457, 10 ** 9))),
+        (3, ("indeterminate", None)),
+    ])
+    def test_derivative_sweep_reads_the_sign_of_cosine_terms(self, r, want):
+        # no compiled row of a corpus plan mixes sine and cosine atoms
+        # (apart from the constant), so negating every cosine's derivative
+        # terms negates whole parts, which the sweep reads only by their
+        # distance from 0: no code's square sees that sign.  This row pair
+        # does: the black row sin(x) + cos(x) against the blue constant
+        # 1.41, at x = 45, where the black derivative cos(x) - sin(x)
+        # vanishes.  The coefficient sweep's bump, 2r * pi/180, is above
+        # the center gap sqrt(2) - 1.41 for every r here, and the
+        # derivative sweep's, about 2 * (r * pi/180)^2, is below it up to
+        # r = 2; read with +sin(x) as the cosine's derivative, the bump
+        # would be about sqrt(2) * r * pi/180 and no r here could pass
+        polygon = types.SimpleNamespace(faces=(), is_empty=False)
+        rows = ((True, ((("cos", 1, 0), 100), (("sin", 1, 0), 100))),
+                (False, ((("cos", 0, 0), 141),)))
+        system = RegionSystem(None, None, "band", polygon, None, None, (),
+                              rows, 100)
+        cert = certify_square(system, Square(45, 30, r), 7)
+        assert (cert.status, cert.margin) == want
+
     def test_line_misses_square(self, repeat_zx):
         cert = certify_square(repeat_zx, Square(10, 20, 1))
         assert cert.status == "fail"

@@ -22,7 +22,7 @@ from billiardpath.tower import test_I as band_test
 from billiardpath.tower import test_II as pruned_band_test
 from billiardpath.tower import test_III as shape_test
 
-from _reference import AffineForm, symbol_value
+from _reference import AffineForm, symbol_degrees, symbol_value
 from _worked_example import (C_ON_AXIS, C_REFERENCE, CHAIN_STEPS, D_ON_AXIS,
                              D_REFERENCE, G_C_REFERENCE, G_D_REFERENCE,
                              WORKED_CODES, WORKED_FIRST, WORKED_LETTERS,
@@ -392,9 +392,12 @@ def reference_centers(sym):
     return out
 
 
-def reference_arc_points(sym):
+def reference_arc_points(sym, centers=None):
     """(px, py) of every arc interior point, fan by fan: its center plus
-    one simplified product, with the arc angle an ``AffineForm``."""
+    one simplified product, with the arc angle an ``AffineForm``; the
+    centers' coordinates are ``centers``' or else the tower's own."""
+    if centers is None:
+        centers = [(p.px, p.py) for p in sym.centers]
     codes = sym.code.codes
     letter = sym._letter
     t_forms = reference_turns(sym)
@@ -409,13 +412,13 @@ def reference_arc_points(sym):
             delta, sigma = -t_forms[m - 2], 1
         else:
             delta, sigma = AffineForm.const(180) + t_forms[m - 2], -1
-        center = sym.centers[m - 1]
+        cx, cy = centers[m - 1]
         for j in range(1, codes[i - 1]):
             ang = delta + v * (sigma * j)
             radius = radii[j % 2]
             out.append(
-                (center.px + simplify([(1, [radius, form_atom("cos", ang)])]),
-                 center.py + simplify([(1, [radius, form_atom("sin", ang)])])))
+                (cx + simplify([(1, [radius, form_atom("cos", ang)])]),
+                 cy + simplify([(1, [radius, form_atom("sin", ang)])])))
     return out
 
 
@@ -489,6 +492,38 @@ class TestLinearBuild:
             for p, (px, py) in zip(arcs, ref):
                 assert p.px == px and p.py == py
 
+    def test_coordinates_expand_on_demand_to_the_eager_sums(self):
+        # building a tower, pruning its key points and expanding their
+        # scores leave every coordinate but the first center's unexpanded;
+        # read in a seeded order, each point's px and py are the eager
+        # builder's: the cumulative centers, and each arc point its
+        # center plus one simplified product
+        rng = random.Random(9)
+        corpus = load_default_corpus()
+        longest = max(corpus, key=lambda e: len(e.code.codes))
+        unstable = CodeSequence([1, 2, 1, 4])
+        worked = CodeSequence(WORKED_CODES)
+        plans = [(worked, assign_angles(worked, WORKED_FIRST, WORKED_SECOND)),
+                 (unstable, assign_angles(unstable, "Y", "Z")),
+                 (longest.code, all_assignments(longest.code)[0])]
+        plans += [(corpus[56].code, asg)
+                  for asg in all_assignments(corpus[56].code)]
+        for code, asg in plans:
+            sym = SymbolicTower(code, asg)
+            for p in key_points(sym):
+                sym.score_poly(p)
+            pruned_key_points(sym)
+            assert [p for p in sym.points if p._px is not None] == \
+                [sym.centers[0]]
+            centers = reference_centers(sym)
+            arcs = [p for fan in sym.fans for p in fan.arc[1:-1]]
+            want = dict(zip(map(id, sym.centers + arcs),
+                            centers + reference_arc_points(sym, centers)))
+            order = list(sym.points)
+            rng.shuffle(order)
+            for p in order:
+                assert (p.px, p.py) == want[id(p)]
+
     def test_scores_match_direct_products(self):
         for codes, first, second in [([1, 1, 1], "X", "Y"),
                                      ([1, 2, 1, 2], "Z", "X"),
@@ -499,6 +534,80 @@ class TestLinearBuild:
             c, d = sym.shooting
             for p in reversed(sym.points):
                 assert sym.score_poly(p) == d * p.px - c * p.py
+
+
+def reference_closure(sym):
+    """Both closure polynomials as full products: each expanded end
+    displacement, A_last - A0 and B_last - B0, crossed with the shooting
+    vector."""
+    c, d = sym.shooting
+    return tuple((top.px - base.px) * d - (top.py - base.py) * c
+                 for top, base in zip(sym.top, sym.base))
+
+
+def test_closure_matches_the_full_products():
+    # every corpus plan, whose B displacement always equals its A one, and
+    # seeded legal codes, about half of them with unequal displacements:
+    # the tower shares one polynomial for both closures exactly when the
+    # displacements agree, and expands the second product otherwise
+    plans = [(e.code, asg) for e in load_default_corpus()
+             for asg in all_assignments(e.code)]
+    assert len(plans) == 804
+    rng = random.Random(25)
+    while len(plans) < 1804:
+        code = CodeSequence([rng.randrange(1, 8)
+                             for _ in range(rng.randrange(2, 12))])
+        asgs = all_assignments(code)
+        if asgs:
+            plans.append((code, rng.choice(asgs)))
+    shared = []
+    for code, asg in plans:
+        sym = SymbolicTower(code, asg)
+        assert sym.closure == reference_closure(sym), (code, asg)
+        (a_last, b_last), (a0, b0) = sym.top, sym.base
+        same = (b_last.px - b0.px, b_last.py - b0.py) == \
+            (a_last.px - a0.px, a_last.py - a0.py)
+        assert (sym.closure[1] is sym.closure[0]) is same
+        shared.append(same)
+    assert all(shared[:804])
+    assert 300 < sum(shared[804:]) < 700
+
+
+@pytest.mark.parametrize("index", [28, 56, 98])
+def test_fan_check_matches_the_fraction_rule(index):
+    # seeded triangles, and triangles on which one fan of each size opens
+    # to exactly 180 degrees, under every assignment: the integer check on
+    # the largest fan of each letter is the rule n * angle < 180 over all
+    # fans, in Fraction degrees
+    code = load_default_corpus()[index].code
+    rng = random.Random(index)
+    seen = {True: 0, False: 0}
+    for asg in all_assignments(code):
+        sym = symbolic_tower(code, asg)
+        tris = []
+        for _ in range(20):
+            a = rng.randrange(1, 17999)
+            tris.append((Fraction(a, 100),
+                         Fraction(rng.randrange(1, 18000 - a), 100)))
+        for letter, n in {(f.letter, f.count) for f in sym.fans}:
+            if n < 2:
+                continue
+            t = Fraction(rng.randrange(1, 1000), 1000)
+            if letter == "X":
+                x = Fraction(180, n)
+                tris.append((x, t * (180 - x)))
+            elif letter == "Y":
+                y = Fraction(180, n)
+                tris.append((t * (180 - y), y))
+            else:
+                rest = 180 - Fraction(180, n)
+                tris.append((t * rest, (1 - t) * rest))
+        for x, y in tris:
+            want = all(f.count * symbol_degrees(f.letter, x, y) < 180
+                       for f in sym.fans)
+            assert sym.at(x, y).fan_angles_below_180() is want, (x, y)
+            seen[want] += 1
+    assert seen[True] and seen[False]
 
 
 # --- exact band verdicts ----------------------------------------------
