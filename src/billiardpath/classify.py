@@ -18,7 +18,6 @@ from math import gcd
 from .geometry import (
     intersect_homogeneous,
     line_segment_in_halfplanes,
-    point_satisfies,
     polygon_area2,
     polygon_bbox,
     to_point,
@@ -253,10 +252,6 @@ class BoundingPolygon:
         else:
             self.faces = self.halfplanes
 
-    def contains_point(self, x, y, strict: bool = True) -> bool:
-        return bool(self.vertices) and \
-            point_satisfies(self.faces, x, y, strict)
-
     def bbox(self):
         if not self.vertices:
             return None
@@ -274,7 +269,7 @@ def _between(a: int, b: int, c: int):
     return (a, b, c), (-a, -b, 180 - c)
 
 
-def _corner_halfplanes(code: CodeSequence, asg: AngleAssignment):
+def corner_halfplanes(code: CodeSequence, asg: AngleAssignment):
     """0 < n*angle < 180 from the largest fan n at each symbol."""
     fans: dict[str, int] = {}
     for s, v in zip(asg.symbols, code.codes):
@@ -349,7 +344,7 @@ def angle_bounding_polygon(code: CodeSequence,
         sums = {(pa + ma, pb + mb, pc + mc)
                 for pa, pb, pc in pool_p for ma, mb, mc in pool_m}
         halfplanes = [hp for s in sums for hp in _between(*s)]
-    poly = BoundingPolygon(halfplanes + _corner_halfplanes(code, asg))
+    poly = BoundingPolygon(halfplanes + corner_halfplanes(code, asg))
     _POLYGON_CACHE[cache_key] = poly
     return poly
 
@@ -366,9 +361,6 @@ class LineRegion:
     @property
     def line(self):
         return self.a, self.b, self.c
-
-    def contains_point(self, x, y) -> bool:
-        return self.a * Fraction(x) + self.b * Fraction(y) == self.c * 90
 
     def __repr__(self):
         return f"LineRegion({self.a}x + {self.b}y = {self.c}*90, " \

@@ -110,18 +110,6 @@ def polygon_bbox(vertices):
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def point_satisfies(halfplanes, x, y, strict: bool = True) -> bool:
-    """Whether (x, y) satisfies every a*x + b*y + c > 0 (>= 0 when not
-    strict).  Each halfplane is tested as a*X + b*Y + c*W on the point's
-    homogeneous triple, W > 0, which keeps integer halfplanes in ``int``."""
-    X, Y, W = to_homogeneous((x, y))
-    for a, b, c in halfplanes:
-        v = a * X + b * Y + c * W
-        if v < 0 or (strict and v == 0):
-            return False
-    return True
-
-
 def line_segment_in_halfplanes(line, halfplanes):
     """Clip the line a*x + b*y = c*90 to the halfplane intersection.
 

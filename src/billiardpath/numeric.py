@@ -15,28 +15,32 @@ adds the pi bracket's slack and rounds outward without building a single
 the denominator and precision are fixed, so a caller may pass a memo keyed
 by that integer: ``cover`` keeps one per quadtree level and precision,
 where every square shares one denominator.  ``enclose_sin`` and
-``enclose_cos`` wrap one result in an ``Interval``.  Every trig sum is
-evaluated in two steps at a homogeneous integer point: ``atom_bounds``
-takes each atom's kernel bounds, and ``dot_bounds`` adds up integer
-coefficients times them by the one signed rule.  ``TrigPoly.bounds``
+``enclose_cos`` wrap one result in an ``Interval``, as ``pi_enclosure``
+wraps ``pi_scaled``, pi on the same grid.  Every trig sum is evaluated in
+two steps at a homogeneous integer point: ``atom_bounds`` takes each
+atom's kernel bounds, and ``dot_bounds`` adds up integer coefficients
+times them by the one signed rule.  ``TrigPoly.bounds``
 (behind ``TrigPoly.eval`` and the towers) and the prover's compiled rows
 meet the same integers; ``TrigPoly.eval`` builds one ``Interval``.
 
 A ``TrigPoly`` keeps its coefficients as integers over one common
 denominator in lowest terms.  An atom's argument is the package's one
 angle form, an integer triple (m, n, q) as in ``sequences.SYMBOL_FORMS``,
-for m*x + n*y + q*90 degrees.  Product-to-sum rewriting halves and
-``simplify`` doubles, so the towers' sums only ever meet powers of two;
-sums, products and ``simplify``'s expansion run on ``int`` by one
-product-to-sum rule, and ``terms`` gives the exact rationals.  A tower's
-steps are two-atom products, which ``atom_product`` expands by that rule
-alone.
+for m*x + n*y + q*90 degrees.  Product-to-sum rewriting halves and the
+towers double every product, so their sums only ever meet powers of two;
+products run on ``int`` by one product-to-sum rule, sums by one merge
+(``TrigPoly.total``), and ``terms`` gives the exact rationals.  A tower's
+steps are doubled two-atom products, which ``atom_product`` expands by
+that rule alone.  ``simplify`` expands a list of doubled products by
+``TrigPoly``'s own product and sum; the package does not call it, the
+tests build reference sums with it, and ``perfbench``'s tracer patches it
+by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm, pi
 
 from .geometry import to_homogeneous
@@ -101,9 +105,6 @@ class Interval:
     def __contains__(self, v) -> bool:
         return self.lo <= v <= self.hi
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def __eq__(self, other):
         return (isinstance(other, Interval)
                 and self.lo == other.lo and self.hi == other.hi)
@@ -113,14 +114,6 @@ class Interval:
 
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"
-
-
-def quantize_outward(iv: Interval, precision: int) -> Interval:
-    """Push both endpoints outward onto the 10^-precision grid."""
-    s = 10 ** precision
-    lo = iv.lo.numerator * s // iv.lo.denominator
-    hi = _cdiv(iv.hi.numerator * s, iv.hi.denominator)
-    return Interval(Fraction(lo, s), Fraction(hi, s))
 
 
 # --- pi ---------------------------------------------------------------
@@ -159,11 +152,20 @@ def _pi_bracket(digits: int) -> tuple[int, int]:
     return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
 
 
+@lru_cache(maxsize=None)
+def pi_scaled(precision: int) -> tuple[int, int]:
+    """pi as integers (lo, hi) times 10^-precision, rounded outward from
+    ``_pi_bracket``'s guarded digits."""
+    lo, hi = _pi_bracket(precision + _GUARD)
+    g = 10 ** _GUARD
+    return lo // g, _cdiv(hi, g)
+
+
 def pi_enclosure(precision: int = MIN_PRECISION) -> Interval:
     """Enclosure of pi on the 10^-precision grid."""
-    lo, hi = _pi_bracket(precision + _GUARD)
-    s = 10 ** (precision + _GUARD)
-    return quantize_outward(Interval(Fraction(lo, s), Fraction(hi, s)), precision)
+    lo, hi = pi_scaled(precision)
+    s = 10 ** precision
+    return Interval(Fraction(lo, s), Fraction(hi, s))
 
 
 # --- sine and cosine --------------------------------------------------
@@ -441,16 +443,7 @@ class TrigPoly:
     def __add__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        den = lcm(self.den, other.den)
-        ka, kb = den // self.den, den // other.den
-        out = {k: c * ka for k, c in self.coeffs.items()}
-        for key, c in other.coeffs.items():
-            s = out.get(key, 0) + c * kb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return TrigPoly._of(out, den)
+        return TrigPoly.total((self, other))
 
     def __sub__(self, other):
         return self + (-other)
@@ -461,10 +454,14 @@ class TrigPoly:
         denominator: linear in their terms, where a chain of ``+`` copies
         the running sum at every step."""
         polys = list(polys)
-        den = lcm(*(p.den for p in polys))
+        den = lcm(*[p.den for p in polys])
         out: dict = {}
         for p in polys:
             k = den // p.den
+            if not out:  # nothing to merge into: copy, by dict() if unscaled
+                out = dict(p.coeffs) if k == 1 else \
+                    {key: c * k for key, c in p.coeffs.items()}
+                continue
             for key, c in p.coeffs.items():
                 s = out.get(key, 0) + c * k
                 if s:
@@ -624,41 +621,11 @@ def simplify(products) -> TrigPoly:
 
     ``products`` is an iterable of (coeff, atoms) pairs where each atom is a
     (kind, m, n, q) tuple meaning kind(m*x + n*y + q*90).  Every product is
-    doubled so that two-factor products with integer coefficients come out
-    with integer coefficients.  The expansion runs on integers: the folded
-    first atom scales the doubled numerator, each further atom goes through
-    product-to-sum and doubles the denominator, and the products add up
-    over one common denominator.  Coefficients are read as integer ratios.
+    doubled, so that two-factor products with integer coefficients come out
+    with integer coefficients: the constant 2*coeff times each atom in turn
+    by ``TrigPoly``'s product, the products added up by ``TrigPoly.total``.
     """
-    total: dict = {}
-    den = 1
-    for coeff, atoms in products:
-        num, tden = coeff.as_integer_ratio()
-        if not num:
-            continue
-        term = {("cos", 0, 0): 2 * num}
-        for i, (kind, m, n, q) in enumerate(atoms):
-            sign, key = _canon_atom(kind, m, n, q)
-            if key is None:
-                term = {}
-                break
-            if not i:  # cos(0) times an atom is the atom
-                term = {key: sign * 2 * num}
-                continue
-            out: dict = {}
-            for (k1, m1, n1), c in term.items():
-                _product_to_sum(out, k1, m1, n1, *key, sign * c)
-            term = out
-            tden *= 2
-        common = lcm(den, tden)
-        if common != den:
-            total = {key: c * (common // den) for key, c in total.items()}
-            den = common
-        k = common // tden
-        for key, c in term.items():
-            c = c * k + total.get(key, 0)
-            if c:
-                total[key] = c
-            else:
-                total.pop(key, None)
-    return TrigPoly._of(total, den)
+    return TrigPoly.total(
+        reduce(TrigPoly.__mul__, (TrigPoly.atom(*atom) for atom in atoms),
+               TrigPoly.atom("cos", 0, 0, coeff=2 * coeff))
+        for coeff, atoms in products)

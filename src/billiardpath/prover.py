@@ -55,7 +55,7 @@ from .classify import (angle_bounding_polygon, corner_boxes, is_stable,
 from .geometry import (line_segment_in_halfplanes, polygon_area2,
                        polygon_bbox, segment_midpoint, to_homogeneous)
 from .numeric import (MIN_PRECISION, TrigPoly, atom_angle, atom_bounds,
-                      dot_bounds, gradient_sum, pi_enclosure)
+                      dot_bounds, gradient_sum, pi_scaled)
 from .sequences import ASSIGNMENT_ORDER, CodeSequence, assign_angles
 from .tower import BLACK, pruned_key_points, separation, symbolic_tower
 
@@ -192,17 +192,15 @@ class RegionSystem:
     fails", or None.
     """
 
-    __slots__ = ("code", "asg", "kind", "polygon", "line", "sym", "keys",
-                 "den", "atoms", "partners", "rows", "witness")
+    __slots__ = ("code", "asg", "kind", "polygon", "line", "den", "atoms",
+                 "partners", "rows", "witness")
 
-    def __init__(self, code, asg, kind, polygon, line, sym, keys, rows, den):
+    def __init__(self, code, asg, kind, polygon, line, rows, den):
         self.code = code
         self.asg = asg
         self.kind = kind
         self.polygon = polygon
         self.line = line
-        self.sym = sym
-        self.keys = keys
         self.den = den
         self.atoms = tuple(sorted({key for _, terms in rows
                                    for key, _ in terms}))
@@ -222,14 +220,13 @@ class RegionSystem:
 
     def pair_polys(self):
         """Black-minus-blue score differences, positive where the code
-        passes; the symbolic inequality set behind the compiled rows."""
+        passes; the symbolic inequality set behind the compiled rows,
+        each score rebuilt from its row."""
         blues, blacks = [], []
-        for p in self.keys:
-            (blacks if p.color == BLACK else blues).append(
-                self.sym.score_poly(p))
-        out = [bk - bl for bk in blacks for bl in blues]
-        self.sym._scores.clear()
-        return out
+        for row in self.rows:
+            (blacks if row.is_black else blues).append(TrigPoly._of(
+                {self.atoms[i]: c for i, c in row.terms}, self.den))
+        return [bk - bl for bk in blacks for bl in blues]
 
     def __repr__(self):
         letters = self.asg.symbol(1) + self.asg.symbol(2)
@@ -280,22 +277,16 @@ def region_system(code: CodeSequence, asg=None) -> RegionSystem:
                                 for key, c in sorted(sp.coeffs.items())])
             for p, sp in zip(keys, polys)]
     sym._scores.clear()
-    return RegionSystem(code, asg, kind, polygon, line, sym, keys, rows, den)
-
-
-_PI_GRID: dict = {}
+    return RegionSystem(code, asg, kind, polygon, line, rows, den)
 
 
 def _radians(square: Square, precision: int):
     """The square's half side r times pi/180, from below and above, as
-    integer ratios (num, den): the ends of the pi enclosure on the
+    integer ratios (num, den): the ends of ``numeric.pi_scaled`` on the
     10^-precision grid times R, over 180 * 10^precision * W."""
-    got = _PI_GRID.get(precision)
-    if got is None:
-        pi, s = pi_enclosure(precision), 10 ** precision
-        got = _PI_GRID[precision] = (int(pi.lo * s), int(pi.hi * s))
+    lo, hi = pi_scaled(precision)
     den = 180 * 10 ** precision * square.W
-    return (got[0] * square.R, den), (got[1] * square.R, den)
+    return (lo * square.R, den), (hi * square.R, den)
 
 
 def _ceil_times(q, k: int) -> int:

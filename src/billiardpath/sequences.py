@@ -4,8 +4,9 @@ A side sequence walks the edges of a triangle (1=AB, 2=BC, 3=AC).  Runs of
 bounces between the same two sides compress into a code sequence, whose runs
 carry the angle enclosed by that pair of sides: {1,2} encloses y, {2,3}
 encloses z, {1,3} encloses x.  Legality of a candidate periodic sequence is
-decided three independent ways here: by direct expansion, by a six-state
-automaton on the even/odd alphabet, and by cyclic string reduction.
+decided here by direct expansion; ``automaton_trace`` walks the six-state
+automaton on the even/odd alphabet, whose trace shows why a word is
+rejected.
 """
 
 from __future__ import annotations
@@ -108,13 +109,6 @@ class CodeSequence:
     def alphabet(self) -> "AlphabetSequence":
         return AlphabetSequence("".join("E" if c % 2 == 0 else "O"
                                         for c in self.codes))
-
-    def rotated(self, k: int) -> "CodeSequence":
-        k %= len(self.codes)
-        return CodeSequence(self.codes[k:] + self.codes[:k])
-
-    def reversed(self) -> "CodeSequence":
-        return CodeSequence(self.codes[::-1])
 
     def is_legal(self) -> bool:
         try:
@@ -324,28 +318,14 @@ def standard_form_code(code: CodeSequence) -> CodeSequence:
     return CodeSequence(best)
 
 
-# --- the parity automaton and the reduction oracle --------------------
+# --- the parity automaton --------------------------------------------
 
 # states are ordered angle pairs; an O advances both three-cycles, an E
 # swaps each pair with its mirror
-_STATES = ("xy", "yx", "yz", "zy", "zx", "xz")
 _O_PERM = {"xy": "yz", "yz": "zx", "zx": "xy",
            "yx": "xz", "xz": "zy", "zy": "yx"}
 _E_PERM = {"xy": "yx", "yx": "xy", "yz": "zy", "zy": "yz",
            "zx": "xz", "xz": "zx"}
-
-
-def automaton_legal(alpha: AlphabetSequence) -> bool:
-    """True when the word loops every automaton state back to itself.
-
-    The action of O and E is a regular permutation group action, so closing
-    one loop closes them all and the start state never matters.
-    """
-    perm = {s: s for s in _STATES}
-    for ch in alpha.letters:
-        step = _O_PERM if ch == "O" else _E_PERM
-        perm = {s: step[perm[s]] for s in _STATES}
-    return all(perm[s] == s for s in _STATES)
 
 
 def automaton_trace(alpha: AlphabetSequence, start: str = "xy") -> list:
@@ -361,43 +341,6 @@ def automaton_trace(alpha: AlphabetSequence, start: str = "xy") -> list:
         state = (_O_PERM if ch == "O" else _E_PERM)[state]
         walk.append(state)
     return walk
-
-
-_REDUCIBLE = ("EE", "OOO", "OEOE", "EOEO", "OOEOOE", "OEOOEO", "EOOEOO")
-_reduction_memo: dict[str, bool] = {"": True}
-
-
-def _canonical_rotation(word: str) -> str:
-    return min(word[i:] + word[:i] for i in range(len(word))) if word else ""
-
-
-def reduces_to_empty(alpha: AlphabetSequence) -> bool:
-    """Reduction oracle: cyclically delete known null factors until empty.
-
-    Deletions happen anywhere around the cycle; the memo is keyed on the
-    minimal rotation so equivalent cyclic words share one verdict.
-    """
-    return _reduces(alpha.letters)
-
-
-def _reduces(word: str) -> bool:
-    key = _canonical_rotation(word)
-    hit = _reduction_memo.get(key)
-    if hit is not None:
-        return hit
-    _reduction_memo[key] = False  # guard against revisits while exploring
-    n = len(word)
-    found = False
-    for rot in range(n):
-        w = word[rot:] + word[:rot]
-        for pat in _REDUCIBLE:
-            if len(pat) <= n and w.startswith(pat) and _reduces(w[len(pat):]):
-                found = True
-                break
-        if found:
-            break
-    _reduction_memo[key] = found
-    return found
 
 
 # --- angle assignment -------------------------------------------------

@@ -19,8 +19,9 @@ with the shooting vector.  The end displacements A_last - A0 and B_last -
 B0 are sums of steps; where they are equal, as on every stable code, the
 second closure polynomial is the first.  Angles are the integer triples
 (ax, ay, q) of ``SYMBOL_FORMS``, for ax*x + ay*y + q*90 degrees, and the
-fan check compares the widest fan of each letter with 180 degrees on the
-triangle's homogeneous integers.  ``Tower.score`` forms d*px - c*py as
+fan check tests the triangle's homogeneous integers against the corner
+halfplanes of the code's bounding polygon, 0 < n*angle < 180 for the
+largest fan n of each letter.  ``Tower.score`` forms d*px - c*py as
 integer ends from those that ``TrigPoly.bounds`` gives, and the tests
 decide on them by ``separation``, as ``prover.certify_square`` does.
 
@@ -41,10 +42,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .classify import angle_bounding_polygon, palindromic_pivots, solve_theta
+from .classify import (_normalize_line, angle_bounding_polygon,
+                       corner_halfplanes, palindromic_pivots, solve_theta)
 from .geometry import to_homogeneous
-from .numeric import (MIN_PRECISION, Interval, TrigPoly, atom_angle,
-                      atom_product, simplify)
+from .numeric import MIN_PRECISION, Interval, TrigPoly, atom_angle, atom_product
 from .sequences import (
     SYMBOL_FORMS,
     AngleAssignment,
@@ -199,8 +200,8 @@ class SymbolicTower:
 
         # each center is the previous one plus one step, a product of two
         # atoms, so a code of length n builds O(n) steps of O(1) terms
-        centers = [TowerPoint(BLACK, (1, 0), px=simplify(
-            [(1, [_sin_atom(third_symbol(letter(0), letter(1)))])]),
+        centers = [TowerPoint(BLACK, (1, 0), px=TrigPoly.atom(
+            *_sin_atom(third_symbol(letter(0), letter(1))), coeff=2),
             py=TrigPoly())]
         for m in range(1, n + 2):
             u_atom = _sin_atom(third_symbol(letter(m - 1), letter(m)))
@@ -238,12 +239,6 @@ class SymbolicTower:
             arc.append(centers[i + 1])
             fans.append(Fan(i, count, letter(i), center, arc))
         self.fans = fans
-        # (n, form) of the largest fan of each letter: the widest openings
-        widest: dict = {}
-        for fan in fans:
-            widest[fan.letter] = max(widest.get(fan.letter, 0), fan.count)
-        self.widest_fans = tuple((k, SYMBOL_FORMS[s])
-                                 for s, k in sorted(widest.items()))
 
         self.points = list(centers)
         for fan in fans:
@@ -286,23 +281,13 @@ class SymbolicTower:
         so scores are built as deltas off the base's score; long codes
         would otherwise pay a full product per point.
         """
-        chain = []
-        got = self._scores.get(id(point))
-        while got is None:
-            chain.append(point)
-            if point.step is None:
-                break
-            point = point.step[0]
-            got = self._scores.get(id(point))
         c, d = self.shooting
-        for p in reversed(chain):
-            if got is None:
-                got = d * p.px - c * p.py
-            else:
-                _, dpx, dpy = p.step
-                got = got + d * dpx - c * dpy
-            self._scores[id(p)] = got
-        return got
+
+        def fold(got, dpx, dpy):
+            delta = d * dpx - c * dpy
+            return delta if got is None else got + delta
+
+        return _fold_steps(point, self._scores, fold)
 
     def special_perpendiculars(self):
         """The two pivot-fan sides crossed at a right angle, as
@@ -323,6 +308,25 @@ class SymbolicTower:
 
     def at(self, x, y, precision: int = MIN_PRECISION) -> "Tower":
         return Tower(self, x, y, precision)
+
+
+def _fold_steps(point: TowerPoint, memo: dict, fold):
+    """A value summed along a point's chain of steps: ``memo`` (keyed by
+    point id) is looked up back to a known base, then every point passed
+    gets fold(base value, dpx, dpy) for its step, and the first center
+    fold(None, px, py)."""
+    chain = []
+    got = memo.get(id(point))
+    while got is None:
+        chain.append(point)
+        if point.step is None:
+            break
+        point = point.step[0]
+        got = memo.get(id(point))
+    for p in reversed(chain):
+        dpx, dpy = (p.px, p.py) if got is None else p.step[1:]
+        got = memo[id(p)] = fold(got, dpx, dpy)
+    return got
 
 
 @lru_cache(maxsize=256)
@@ -398,12 +402,12 @@ class Tower:
                 da * cb * 10 ** (2 * self.precision))
 
     def fan_angles_below_180(self) -> bool:
-        """Every fan opens below 180 degrees: n * (ax*X + ay*Y + 90q*W) <
-        180W for the largest fan n of each letter, its angle's triple
-        (ax, ay, q) and the triangle's homogeneous (X, Y, W), W > 0."""
+        """Every fan opens below 180 degrees: the triangle's homogeneous
+        (X, Y, W), W > 0, meets the code's corner halfplanes 0 < n*angle <
+        180 (``classify.corner_halfplanes``) strictly."""
         X, Y, W = self._hom
-        return all(n * (ax * X + ay * Y + 90 * q * W) < 180 * W
-                   for n, (ax, ay, q) in self.sym.widest_fans)
+        return all(a * X + b * Y + c * W > 0
+                   for a, b, c in corner_halfplanes(*self.sym.plan))
 
     def band_refuted(self) -> bool:
         """True when some end displacement certainly leaves the shooting
@@ -463,26 +467,18 @@ _SIXTEENTH = Fraction(45, 2)
 
 
 def _line_through(p, q):
-    """The line a*x + b*y + c = 0 through two points, as primitive
-    integers with b > 0, or b = 0 and a > 0."""
+    """The line a*x + b*y + c = 0 through two points, as integers in
+    ``classify._normalize_line``'s form."""
     a, b = q[1] - p[1], p[0] - q[0]
     c = -(a * p[0] + b * p[1])
     den = math.lcm(a.denominator, b.denominator, c.denominator)
-    a, b, c = (int(v * den) for v in (a, b, c))
-    return _primitive(a, b, c)
-
-
-def _primitive(a: int, b: int, c: int):
-    g = math.gcd(a, b, c)
-    if b < 0 or (b == 0 and a < 0):
-        g = -g
-    return a // g, b // g, c // g
+    return _normalize_line(*(int(v * den) for v in (a, b, c)))
 
 
 def _vanishes_on(poly: TrigPoly, line) -> bool:
     """True when ``poly`` is proven identically zero on the line a*x + b*y
-    + c = 0 (``_line_through``'s form); False when it is not, or when some
-    phase on the line is not a multiple of 22.5 degrees.
+    + c = 0, (a, b) nonzero; False when it is not, or when some phase on
+    the line is not a multiple of 22.5 degrees.
 
     The line runs through (x0, y0) = (0, -c/b), or (-c/a, 0) when b = 0,
     along (b, -a), so an atom's argument m*x + n*y is f*t + phi with the
@@ -530,7 +526,7 @@ def _proven_tie(tower: Tower, points) -> bool:
     """
     sym, x, y = tower.sym, tower.x, tower.y
     poly = angle_bounding_polygon(*sym.plan)
-    lines = {_primitive(*face) for face in poly.faces
+    lines = {_normalize_line(*face) for face in poly.faces
              if face[0] * x + face[1] * y + face[2] == 0}
     verts = poly.vertices
     lines.update(_line_through(p, q) for i, p in enumerate(verts)
@@ -599,29 +595,14 @@ def _probe_poly(poly: TrigPoly):
         len(poly.coeffs) + 33
 
 
-def _probe_point(sym: SymbolicTower, point: TowerPoint, memo: dict):
-    """(px, py, weight, count) of a point at the probe, as its base
-    point's plus its one step's, walking the steps as ``score_poly``
-    does; ``memo`` maps point ids to what it has built."""
-    chain = []
-    got = memo.get(id(point))
-    while got is None:
-        chain.append(point)
-        if point.step is None:
-            break
-        point = point.step[0]
-        got = memo.get(id(point))
-    for p in reversed(chain):
-        if got is None:
-            dpx, dpy = p.px, p.py
-            got = (0.0, 0.0, 0.0, 0)
-        else:
-            _, dpx, dpy = p.step
-        fx, wx, kx = _probe_poly(dpx)
-        fy, wy, ky = _probe_poly(dpy)
-        got = memo[id(p)] = (got[0] + fx, got[1] + fy, got[2] + wx + wy,
-                             got[3] + kx + ky)
-    return got
+def _probe_step(got, dpx, dpy):
+    """``_fold_steps``' fold for (px, py, weight, count) at the probe: the
+    base point's plus its one step's."""
+    fx, wx, kx = _probe_poly(dpx)
+    fy, wy, ky = _probe_poly(dpy)
+    if got is None:
+        return fx, fy, wx + wy, kx + ky
+    return got[0] + fx, got[1] + fy, got[2] + wx + wy, got[3] + kx + ky
 
 
 def pruned_key_points(sym: SymbolicTower) -> tuple:
@@ -644,7 +625,7 @@ def pruned_key_points(sym: SymbolicTower) -> tuple:
     step polynomial, so along its chain of steps each double addition
     adds at most u times the weight W of the chain: a point whose px and
     py steps have total weight W and sum K of (k + 33) over both (its
-    ``_probe_point``) has each coordinate within u * W * K of the true
+    ``_probe_step`` sum) has each coordinate within u * W * K of the true
     value, and no larger than W.  The same bound holds for the shooting
     vector (c, d) with its own weight and count: one polynomial each for
     an angle shooting, and a chain's difference of two centers (weights
@@ -664,13 +645,13 @@ def pruned_key_points(sym: SymbolicTower) -> tuple:
             (c, wc, kc), (d, wd, kd) = map(_probe_poly, sym.shooting)
             weight, count = max(wc, wd), max(kc, kd)
         else:
-            ax, ay, aw, ak = _probe_point(sym, sym.centers[1], memo)
-            tx, ty, tw, tk = _probe_point(sym, sym.centers[-1], memo)
+            ax, ay, aw, ak = _fold_steps(sym.centers[1], memo, _probe_step)
+            tx, ty, tw, tk = _fold_steps(sym.centers[-1], memo, _probe_step)
             c, d, weight, count = tx - ax, ty - ay, aw + tw, ak + tk
         e_s = _U * weight * count
         kept = []  # (point, probe score, r)
         for p in key_points(sym):
-            px, py, w, k = _probe_point(sym, p, memo)
+            px, py, w, k = _fold_steps(p, memo, _probe_step)
             s, r = d * px - c * py, w * (_U * weight * k + e_s)
             if not any(q.color == p.color and
                        abs(s - t) <= _NEAR * (r + rq) and

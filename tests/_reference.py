@@ -8,7 +8,15 @@ doubled traversal, the corner box of one assignment, and the plan list
 coefficients that the integer triples of ``SYMBOL_FORMS`` replaced;
 ``solve_theta`` solves the shooting angle on it, halving as it goes.
 ``symbol_degrees`` is a symbol's angle in ``Fraction`` degrees, the rule
-the towers' integer fan check replaced.
+the towers' integer fan check replaced, and ``widest_fans`` the largest fan
+of each letter, which that check compared with 180 degrees before it read
+the corner halfplanes.
+
+The helpers below them were the package's own until nothing in it called
+them: point and line membership of polygons and unstable lines, outward
+rounding onto the decimal grid, and the two legality rules that the direct
+expansion of ``CodeSequence.is_legal`` is checked against, the parity
+automaton's closed loop and cyclic string reduction.
 """
 
 from fractions import Fraction
@@ -16,8 +24,11 @@ from fractions import Fraction
 from billiardpath.classify import (angle_bounding_polygon,
                                    palindromic_pivots,
                                    shooting_angle_sequence)
+from billiardpath.geometry import to_homogeneous
+from billiardpath.numeric import Interval
 from billiardpath.prover import _box, _meets
-from billiardpath.sequences import SYMBOL_FORMS, AngleAssignment, form_degrees
+from billiardpath.sequences import (_E_PERM, _O_PERM, SYMBOL_FORMS,
+                                    AngleAssignment, form_degrees)
 
 PAIRS = [(a, b) for a in "XYZ" for b in "XYZ" if a != b]
 
@@ -167,3 +178,91 @@ def solve_theta(code, asg):
     target = (AffineForm.const(180) - c[p - 1] * symbol_value(asg.symbol(p))) \
         * Fraction(1, 2)
     return (target - AffineForm(ax, ay, phi_c, 0)) * (1 if t > 0 else -1)
+
+
+def widest_fans(sym):
+    """(n, form) of the largest fan n of each letter of a symbolic tower,
+    letters in order: every fan opens below 180 degrees exactly where
+    n * angle < 180 for each of them."""
+    widest = {}
+    for fan in sym.fans:
+        widest[fan.letter] = max(widest.get(fan.letter, 0), fan.count)
+    return tuple((n, SYMBOL_FORMS[s]) for s, n in sorted(widest.items()))
+
+
+def point_satisfies(halfplanes, x, y, strict=True):
+    """Whether (x, y) satisfies every a*x + b*y + c > 0 (>= 0 when not
+    strict), tested as a*X + b*Y + c*W on the point's homogeneous triple."""
+    X, Y, W = to_homogeneous((x, y))
+    for a, b, c in halfplanes:
+        v = a * X + b * Y + c * W
+        if v < 0 or (strict and v == 0):
+            return False
+    return True
+
+
+def contains_point(poly, x, y, strict=True):
+    """Whether a ``BoundingPolygon`` holds (x, y), by its faces."""
+    return bool(poly.vertices) and point_satisfies(poly.faces, x, y, strict)
+
+
+def on_line(region, x, y):
+    """Whether (x, y) lies on a ``LineRegion``'s line a*x + b*y = c*90."""
+    return region.a * Fraction(x) + region.b * Fraction(y) == region.c * 90
+
+
+def quantize_outward(iv, precision):
+    """Push both endpoints of an ``Interval`` outward onto the
+    10^-precision grid."""
+    s = 10 ** precision
+    lo = iv.lo.numerator * s // iv.lo.denominator
+    hi = -((-iv.hi.numerator * s) // iv.hi.denominator)
+    return Interval(Fraction(lo, s), Fraction(hi, s))
+
+
+def automaton_legal(alpha):
+    """True when the even/odd word loops every automaton state back to
+    itself; the letters act as a regular permutation group, so closing one
+    loop closes them all."""
+    perm = {s: s for s in _O_PERM}
+    for ch in alpha.letters:
+        step = _O_PERM if ch == "O" else _E_PERM
+        perm = {s: step[perm[s]] for s in _O_PERM}
+    return all(perm[s] == s for s in _O_PERM)
+
+
+_REDUCIBLE = ("EE", "OOO", "OEOE", "EOEO", "OOEOOE", "OEOOEO", "EOOEOO")
+_reduction_memo = {"": True}
+
+
+def _canonical_rotation(word):
+    return min(word[i:] + word[:i] for i in range(len(word))) if word else ""
+
+
+def reduces_to_empty(alpha):
+    """Reduction oracle: cyclically delete known null factors until empty.
+
+    Deletions happen anywhere around the cycle; the memo is keyed on the
+    minimal rotation so equivalent cyclic words share one verdict.
+    """
+    return _reduces(alpha.letters)
+
+
+def _reduces(word):
+    key = _canonical_rotation(word)
+    hit = _reduction_memo.get(key)
+    if hit is not None:
+        return hit
+    _reduction_memo[key] = False  # guard against revisits while exploring
+    n = len(word)
+    found = False
+    for rot in range(n):
+        w = word[rot:] + word[:rot]
+        for pat in _REDUCIBLE:
+            if len(pat) <= n and w.startswith(pat) and _reduces(w[len(pat):]):
+                found = True
+                break
+        if found:
+            break
+    _reduction_memo[key] = found
+    return found

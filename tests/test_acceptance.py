@@ -16,7 +16,8 @@ import random
 import time
 from fractions import Fraction
 
-from _reference import AffineForm
+from _reference import (AffineForm, automaton_legal, contains_point,
+                        reduces_to_empty)
 from _worked_example import (C_REFERENCE, D_REFERENCE, reduce_on_line,
                              substitute_line)
 from billiardpath.classify import (angle_bounding_polygon,
@@ -32,8 +33,7 @@ from billiardpath.prover import (PRESETS, Square, certify_square, cover,
                                  region_system)
 from billiardpath.sequences import (AlphabetSequence, CodeSequence,
                                     all_assignments, assign_angles,
-                                    automaton_legal, form_degrees,
-                                    reduces_to_empty)
+                                    form_degrees)
 from billiardpath.tower import Triangle, symbolic_tower, unfold
 from billiardpath.tower import test_I as band_test
 from billiardpath.tower import test_II as pruned_band_test
@@ -266,7 +266,7 @@ def test_10_coefficient_sweep_bounds_sampled_variation():
         fq = f.eval(q[0], q[1], 7)
         d = max(abs(p[0] - q[0]), abs(p[1] - q[1]))
         seen = max(fp.hi - fq.lo, fq.hi - fp.lo)
-        allowance = rad_hi * g * d + fp.width() + fq.width()
+        allowance = rad_hi * g * d + (fp.hi - fp.lo) + (fq.hi - fq.lo)
         assert seen <= allowance, (f.terms, p, q)
     print(f"gradient soundness: 1000 sampled pairs within squares, "
           f"{time.perf_counter() - t0:.1f}s")
@@ -291,7 +291,7 @@ def test_11_band_test_agrees_with_bounce_oracle():
         tot = sum(ws)
         x = sum(w * vx for w, (vx, _) in zip(ws, verts)) / tot
         y = sum(w * vy for w, (_, vy) in zip(ws, verts)) / tot
-        if not poly.contains_point(x, y, strict=True):
+        if not contains_point(poly, x, y, strict=True):
             continue
         verdict = None
         for precision in (7, 14, 30):

@@ -9,12 +9,13 @@ from billiardpath.geometry import (
     clip_polygon,
     intersect_homogeneous,
     line_segment_in_halfplanes,
-    point_satisfies,
     polygon_area2,
     polygon_bbox,
     segment_midpoint,
     to_point,
 )
+
+from _reference import point_satisfies
 
 F = Fraction
 

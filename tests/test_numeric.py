@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from _reference import symbol_degrees
+from _reference import quantize_outward, symbol_degrees
 from _worked_example import substitute_line
 from billiardpath.numeric import (
     Interval,
@@ -19,7 +19,7 @@ from billiardpath.numeric import (
     enclose_cos,
     enclose_sin,
     pi_enclosure,
-    quantize_outward,
+    pi_scaled,
     simplify,
     sin_scaled,
 )
@@ -53,6 +53,19 @@ def test_pi_enclosure_nesting():
         outer = inner
 
 
+def test_pi_scaled_is_the_enclosure_on_the_grid():
+    # the integer ends are pi_enclosure's times 10^p, and the outward
+    # rounding of the guarded bracket that pi_enclosure was defined by
+    for p in range(7, 41):
+        lo, hi = pi_scaled(p)
+        s = 10 ** p
+        iv = pi_enclosure(p)
+        assert (lo, hi) == (iv.lo * s, iv.hi * s)
+        b_lo, b_hi = _pi_bracket(p + _GUARD)
+        g = 10 ** (p + _GUARD)
+        assert iv == quantize_outward(Interval(F(b_lo, g), F(b_hi, g)), p)
+
+
 def test_exact_angle_shortcuts():
     assert enclose_cos(90) == Interval(0, 0)
     assert enclose_sin(30) == Interval(F(1, 2), F(1, 2))
@@ -69,8 +82,8 @@ def test_enclosure_at_higher_precision_is_contained():
         coarse = enclose_sin(ang, 7)
         fine = enclose_sin(ang, 30)
         assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
-        assert coarse.width() <= F(3, 10 ** 7)
-        assert fine.width() <= F(3, 10 ** 30)
+        assert coarse.hi - coarse.lo <= F(3, 10 ** 7)
+        assert fine.hi - fine.lo <= F(3, 10 ** 30)
 
 
 def test_enclosure_soundness_random_sample():
@@ -294,7 +307,7 @@ def test_gradient_bound_is_sound():
         fp = f.eval(p[0], p[1], 14)
         fq = f.eval(q[0], q[1], 14)
         mid_gap = abs((fp.lo + fp.hi) / 2 - (fq.lo + fq.hi) / 2)
-        slack = fp.width() / 2 + fq.width() / 2
+        slack = (fp.hi - fp.lo) / 2 + (fq.hi - fq.lo) / 2
         assert mid_gap <= g * 2 * r * pi_hi / 180 + slack
 
 

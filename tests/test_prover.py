@@ -48,7 +48,8 @@ from billiardpath.prover import (
     triple_rule,
 )
 from billiardpath.sequences import CodeSequence, all_assignments, assign_angles
-from billiardpath.tower import BLACK, test_II as pruned_band_test, unfold
+from billiardpath.tower import (BLACK, pruned_key_points, symbolic_tower,
+                                test_II as pruned_band_test, unfold)
 
 import _reference
 
@@ -101,14 +102,26 @@ def reference_rows(system):
     ((kind, m, n), c) pairs scaled to ``system.den``, ``g`` their gradient
     sum and ``parts`` their ``reference_derivatives``."""
     rows = []
-    for p in system.keys:
-        sp = system.sym.score_poly(p)
+    sym = symbolic_tower(system.code, system.asg)
+    for p in pruned_key_points(sym):
+        sp = sym.score_poly(p)
         terms = tuple((key, c * (system.den // sp.den))
                       for key, c in sorted(sp.coeffs.items()))
         rows.append((p.color == BLACK, terms, gradient_sum(terms),
                      reference_derivatives(terms)))
-    system.sym._scores.clear()
+    sym._scores.clear()
     return tuple(rows)
+
+
+def reference_pair_polys(system):
+    """``pair_polys`` as defined on the symbolic tower: the black-minus-blue
+    differences of the pruned key points' score polynomials."""
+    sym = symbolic_tower(system.code, system.asg)
+    keys = pruned_key_points(sym)
+    blacks = [sym.score_poly(p) for p in keys if p.color == BLACK]
+    blues = [sym.score_poly(p) for p in keys if p.color != BLACK]
+    sym._scores.clear()
+    return [bk - bl for bk in blacks for bl in blues]
 
 
 def term_bounds(terms, X, Y, W, precision, cache):
@@ -125,7 +138,7 @@ def reference_certify(system, square, precision=7):
         return Certificate("fail", note="empty region")
     if system.kind == "band":
         for cx, cy in square.corners():
-            if not system.polygon.contains_point(cx, cy):
+            if not _reference.contains_point(system.polygon, cx, cy):
                 return Certificate("fail", note="outside the code's polygon")
         center = (square.x, square.y)
     else:
@@ -290,7 +303,8 @@ def find_line_system(code, line):
 def find_band_system(code, point):
     for asg in all_assignments(code):
         rs = region_system(code, asg)
-        if rs.kind == "band" and rs.polygon.contains_point(*point):
+        if rs.kind == "band" and _reference.contains_point(rs.polygon,
+                                                           *point):
             return rs
     raise AssertionError(f"no region of {code} contains {point}")
 
@@ -380,7 +394,8 @@ class TestSpreadRule:
         seen = collections.Counter()
         for poly in polys:
             for sq in squares:
-                want = all(poly.contains_point(x, y) for x, y in sq.corners())
+                want = all(_reference.contains_point(poly, x, y)
+                           for x, y in sq.corners())
                 assert _inside(sq, poly.faces) == want, (poly, sq)
                 seen[want] += 1
         assert seen[True] > 50 and seen[False] > 1000, seen
@@ -448,6 +463,17 @@ class TestRegionSystem:
         assert len(pairs) == 9  # 3 black keys against 3 blue keys
         for f in pairs:
             assert f.eval(60, 60, 7).lo > 0
+
+    def test_pair_polys_rebuild_the_tower_scores(self):
+        # every corpus plan up to length 30: the differences of the scores
+        # rebuilt from the compiled rows are the tower's own
+        plans = [(e.code, asg) for e in load_default_corpus()
+                 if len(e.code) <= 30 for asg in all_assignments(e.code)]
+        assert len(plans) == 492
+        for code, asg in plans:
+            system = region_system(code, asg)
+            assert system.pair_polys() == reference_pair_polys(system), \
+                (code, asg)
 
     @pytest.mark.parametrize("text, kind", [("1 1 1 2 2", "band"),
                                             ("1 4 3 4", "line")])
@@ -542,8 +568,7 @@ class TestCertify:
         polygon = types.SimpleNamespace(faces=(), is_empty=False)
         rows = ((True, ((("cos", 1, 0), 100), (("sin", 1, 0), 100))),
                 (False, ((("cos", 0, 0), 141),)))
-        system = RegionSystem(None, None, "band", polygon, None, None, (),
-                              rows, 100)
+        system = RegionSystem(None, None, "band", polygon, None, rows, 100)
         cert = certify_square(system, Square(45, 30, r), 7)
         assert (cert.status, cert.margin) == want
 
@@ -673,9 +698,6 @@ class TestCover:
         for name in ("to_homogeneous", "polygon_area2"):
             monkeypatch.setattr(prover, name,
                                 counting(name, getattr(prover, name)))
-        monkeypatch.setattr(classify.BoundingPolygon, "contains_point",
-                            counting("contains_point",
-                                     classify.BoundingPolygon.contains_point))
         monkeypatch.setattr(Square, "corners",
                             counting("corners", Square.corners))
         real_certify = prover.certify_square
@@ -688,7 +710,7 @@ class TestCover:
         res = cover(DEEP_BOX, [corpus[i] for i in DEEP_CODES])
         assert res.square_count == 141
         assert phase == ["tree"]
-        for name in ("clip_polygon", "contains_point", "corners"):
+        for name in ("clip_polygon", "corners"):
             assert not calls[name], name
         assert [args for _, args in calls["to_homogeneous"]] == \
             [(v,) for v in DEEP_BOX]
@@ -1175,8 +1197,7 @@ class TestFilters:
         def gate(gap, x, y, r):
             blue = black + ((("cos", 0, 0), -gap),)
             rows = ((True, black), (False, blue))
-            system = RegionSystem(None, None, "band", polygon, None, None,
-                                  (), rows, 1)
+            system = RegionSystem(None, None, "band", polygon, None, rows, 1)
             angles, values = prover._center_floats(
                 system, *to_homogeneous((F(x), F(y))))
             square = Square(x, y, r)
@@ -1229,8 +1250,8 @@ class TestFilters:
         def gate(x, k):
             blue = ((("cos", 0, 0), k),)
             rows = ((True, black), (False, blue))
-            system = RegionSystem(None, None, "band", polygon, None, None,
-                                  (), rows, den)
+            system = RegionSystem(None, None, "band", polygon, None, rows,
+                                  den)
             angles, values = prover._center_floats(
                 system, *to_homogeneous((x, F(30))))
             square = Square(x, 30, r)
@@ -1325,8 +1346,7 @@ class TestFilters:
             black = ((("sin", 1, 0), den), (("cos", 1, 1), -den))
             blue = black + ((("cos", 0, 0), gap),)
             rows = ((True, black), (False, blue))
-            system = RegionSystem(None, None, "band", None, None, None, (),
-                                  rows, den)
+            system = RegionSystem(None, None, "band", None, None, rows, den)
             lo_hi = [term_bounds(terms, X, Y, W, precision, {})
                      for _, terms in rows]
             exact = lo_hi[0][1] <= lo_hi[1][0]
@@ -1436,8 +1456,7 @@ class TestSeparationBoundaries:
                             lambda square, p: ((1, 10 ** p),) * 2)
         polygon = types.SimpleNamespace(faces=(), is_empty=False)
         rows = ((True, self.BLACK), (False, self.BLUE))
-        system = RegionSystem(None, None, "band", polygon, None, None, (),
-                              rows, 1)
+        system = RegionSystem(None, None, "band", polygon, None, rows, 1)
         system.rows = tuple(row._replace(g=10) for row in system.rows)
         cert = certify_square(system, Square(30, 30, 1), 7)
         assert (cert.status, cert.margin, cert.note) == want

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from billiardpath.classify import angle_bounding_polygon, classify_code
+from billiardpath.classify import (_normalize_line, angle_bounding_polygon,
+                                   classify_code)
 from billiardpath.corpus import load_default_corpus
 from billiardpath.numeric import Interval, TrigPoly, simplify
 from billiardpath.sequences import (CodeSequence, all_assignments,
-                                    assign_angles, third_symbol)
+                                    assign_angles, form_degrees,
+                                    third_symbol)
 from billiardpath import tower as tower_module
 from billiardpath.tower import (BLACK, BLUE, FanAngleError, PrecisionError,
                                 ShapeError, SymbolicTower, _judge,
@@ -22,7 +24,7 @@ from billiardpath.tower import test_I as band_test
 from billiardpath.tower import test_II as pruned_band_test
 from billiardpath.tower import test_III as shape_test
 
-from _reference import AffineForm, symbol_degrees, symbol_value
+from _reference import AffineForm, symbol_degrees, symbol_value, widest_fans
 from _worked_example import (C_ON_AXIS, C_REFERENCE, CHAIN_STEPS, D_ON_AXIS,
                              D_REFERENCE, G_C_REFERENCE, G_D_REFERENCE,
                              WORKED_CODES, WORKED_FIRST, WORKED_LETTERS,
@@ -576,9 +578,9 @@ def test_closure_matches_the_full_products():
 @pytest.mark.parametrize("index", [28, 56, 98])
 def test_fan_check_matches_the_fraction_rule(index):
     # seeded triangles, and triangles on which one fan of each size opens
-    # to exactly 180 degrees, under every assignment: the integer check on
-    # the largest fan of each letter is the rule n * angle < 180 over all
-    # fans, in Fraction degrees
+    # to exactly 180 degrees, under every assignment: the check on the
+    # code's corner halfplanes is the rule n * angle < 180 over all fans,
+    # in Fraction degrees, and the rule on the largest fan of each letter
     code = load_default_corpus()[index].code
     rng = random.Random(index)
     seen = {True: 0, False: 0}
@@ -605,6 +607,8 @@ def test_fan_check_matches_the_fraction_rule(index):
         for x, y in tris:
             want = all(f.count * symbol_degrees(f.letter, x, y) < 180
                        for f in sym.fans)
+            assert all(n * form_degrees(form, x, y) < 180
+                       for n, form in widest_fans(sym)) is want, (x, y)
             assert sym.at(x, y).fan_angles_below_180() is want, (x, y)
             seen[want] += 1
     assert seen[True] and seen[False]
@@ -818,7 +822,7 @@ def test_the_tie_is_an_identity_on_its_line_only():
     assert not _vanishes_on(diff, (1, 1, -135))     # x + y = 135
 
 
-@pytest.mark.parametrize("terms, line, want", [
+VANISHING_CASES = [
     # sin(4x + 4y) + 1 on x + y = 315/2: a constant, sin(630) = -1
     ({("sin", 4, 4): 1, ("cos", 0, 0): 1}, (2, 2, -315), True),
     ({("sin", 4, 4): 1, ("cos", 0, 0): -1}, (2, 2, -315), False),
@@ -836,9 +840,44 @@ def test_the_tie_is_an_identity_on_its_line_only():
     ({("cos", 2, -2): 1}, (-1, 1, 0), False),
     # a phase of 10 degrees leaves Z[zeta_16]: undecided, so False
     ({("sin", 1, 0): 1, ("cos", 0, 1): -1}, (1, 1, -100), False),
-])
+]
+
+
+@pytest.mark.parametrize("terms, line, want", VANISHING_CASES)
 def test_vanishes_on_decides_identities_on_lines(terms, line, want):
     assert _vanishes_on(TrigPoly(terms), line) is want
+
+
+def test_vanishes_on_reads_a_line_and_its_negation_alike():
+    # a line's two integer forms run along opposite directions; the cases
+    # above, and every black-minus-blue score difference of the tie code
+    # on every line through a tie triangle along a face of its polygon or
+    # through two of its vertices, as the tie search takes them
+    for terms, (a, b, c), want in VANISHING_CASES:
+        assert _vanishes_on(TrigPoly(terms), (-a, -b, -c)) is want
+    code = CodeSequence(TIE_CODE)
+    asg = all_assignments(code)[0]
+    sym = SymbolicTower(code, asg)
+    keys = pruned_key_points(sym)
+    diffs = [sym.score_poly(p) - sym.score_poly(q) for p in keys
+             if p.color == BLACK for q in keys if q.color == BLUE]
+    poly = angle_bounding_polygon(code, asg)
+    verts = poly.vertices
+    ties = 0
+    for x, y in TIE_POINTS:
+        lines = {_normalize_line(*face) for face in poly.faces
+                 if face[0] * x + face[1] * y + face[2] == 0}
+        lines.update(_line_through(p, q) for i, p in enumerate(verts)
+                     for q in verts[i + 1:]
+                     if (q[1] - p[1]) * (x - p[0]) ==
+                     (q[0] - p[0]) * (y - p[1]))
+        assert (2, 2, -315) in lines
+        for a, b, c in lines:
+            for diff in diffs:
+                got = _vanishes_on(diff, (a, b, c))
+                assert _vanishes_on(diff, (-a, -b, -c)) is got
+                ties += got
+    assert ties
 
 
 def test_separation_takes_the_least_black_and_the_greatest_blue():
