@@ -33,14 +33,14 @@ Exact work is done only where it can change the answer.  A float screen
 with a proven error slack rejects a square whose center certainly fails
 before any exact sum; each system remembers the black and blue rows that
 decided its last such failure, and tries that pair alone first, which
-settles most failures from a handful of sines.  A retry gate marks an
-indeterminate square that no precision could pass, and ``cover`` does not
-retry it: its float form, with the same slack, marks most such squares
-before any exact sum, and its integer form, after the exact sums, the
-rest.  ``cover`` shares one memo of folded kernel values among the
-squares of a level.  Floats only ever skip work whose exact verdict is
-known ("fail", or "no precision can pass"), so every verdict and record
-is what the exact path alone would give.
+settles most failures from a handful of sines.  A retry gate in doubles,
+with the same slack, marks before any exact sum an indeterminate square
+that no precision could pass, and ``cover`` does not retry it; every
+other indeterminate square is retried at double precision.  ``cover``
+shares one memo of folded kernel values among the squares of a level.
+Floats only ever skip work whose exact verdict is known ("fail", or "no
+precision can pass"), so every verdict and record is what the exact
+path alone would give.
 """
 
 from __future__ import annotations
@@ -308,26 +308,36 @@ def _center_floats(system: RegionSystem, X: int, Y: int, W: int):
     """
     angles = [atom_angle(atom, X, Y, W) for atom in system.atoms]
     sines = [math.sin(a) for a in angles]
-    values = []
-    for row in system.rows:
-        f = 0.0
-        for i, c in row.floats:
-            f += c * sines[i]
-        values.append(f)
-    return angles, values
+    return angles, [_row_float(row, sines) for row in system.rows]
+
+
+def _row_float(row: Row, factors) -> float:
+    """A row's double: its c/den times a double per atom, summed in the
+    row's order; ``factors``, indexed by atom, are the sines for the row's
+    value and m*cos (n*cos) for its derivative parts."""
+    f = 0.0
+    for i, c in row.floats:
+        f += c * factors[i]
+    return f
 
 
 def _center_fails(system: RegionSystem, values, precision: int) -> bool:
     """Float screen: True only where the exact center test fails too.
 
     ``values`` are ``_center_floats``' rows; each is known to within its
-    slack (see ``certify_square``) of what its exact bounds enclose.  A
-    failing screen keeps its deciding black and blue rows as the system's
-    ``witness``.
+    slack (see ``certify_square``) of what its exact bounds enclose.
     """
+    return _screen(system, enumerate(values), precision)
+
+
+def _screen(system: RegionSystem, values, precision: int) -> bool:
+    """The screen's rule on (row index, double) pairs: True where the least
+    black f + slack is below the greatest blue f - slack, the deciding
+    black and blue rows then kept as the system's ``witness``."""
     grid = 2 / 10 ** precision
     black = blue = None  # (bound, row index)
-    for k, (row, f) in enumerate(zip(system.rows, values)):
+    for k, f in values:
+        row = system.rows[k]
         slack = row.weight * grid + row.err
         if row.is_black:
             if black is None or f + slack < black[0]:
@@ -342,23 +352,15 @@ def _center_fails(system: RegionSystem, values, precision: int) -> bool:
 
 def _witness_fails(system: RegionSystem, X: int, Y: int, W: int,
                    precision: int) -> bool:
-    """The float screen on the system's witness rows alone, each row's
-    double computed as ``_center_floats`` computes it: True only where
+    """``_screen`` on the system's witness rows alone, summed by
+    ``_row_float`` on one sine per atom of theirs: True only where
     ``_center_fails`` would be True (see ``certify_square``)."""
     if system.witness is None:
         return False
-    grid = 2 / 10 ** precision
-
-    def value_and_slack(k):
-        row = system.rows[k]
-        f = 0.0
-        for i, c in row.floats:
-            f += c * math.sin(atom_angle(system.atoms[i], X, Y, W))
-        return f, row.weight * grid + row.err
-
-    (black, black_slack), (blue, blue_slack) = map(value_and_slack,
-                                                   system.witness)
-    return black + black_slack < blue - blue_slack
+    sines = {i: math.sin(atom_angle(system.atoms[i], X, Y, W))
+             for k in system.witness for i, _ in system.rows[k].floats}
+    return _screen(system, [(k, _row_float(system.rows[k], sines))
+                            for k in system.witness], precision)
 
 
 def _floor_float(v: float, k: int) -> int:
@@ -369,9 +371,9 @@ def _floor_float(v: float, k: int) -> int:
 
 def _hopeless(system: RegionSystem, angles, values, precision: int,
               rad_lo) -> bool:
-    """Float retry gate: True only where the exact path returns
-    "indeterminate" with note ``NO_PRECISION_PASSES``; conditions (a) to
-    (c) of ``certify_square``.  ``rad_lo`` is ``_radians``' lower ratio."""
+    """Float retry gate: True only where the exact path leaves the square
+    "indeterminate" and no precision can pass it; conditions (a) to (c)
+    of ``certify_square``.  ``rad_lo`` is ``_radians``' lower ratio."""
     rows = system.rows
     scale = 10 ** precision
     unit = system.den * scale  # the exact bounds count in 1/unit
@@ -410,12 +412,9 @@ def _hopeless(system: RegionSystem, angles, values, precision: int,
             continue
         # the row's own doubles c/den over all of its terms, times m*cos
         # (n*cos), as the slack's derivation assumes
-        fx = fy = 0.0
-        for i, c in row.floats:
-            fx += c * xs[i]
-            fy += c * ys[i]
         dist = 0
-        for f, part in zip((fx, fy), row.parts):
+        for part, factors in zip(row.parts, (xs, ys)):
+            f = _row_float(row, factors)
             gap = max(abs(f) - (part.weight * grid + part.err), 0.0)
             dist += _floor_float(gap, unit) + _floor_times(rad_lo,
                                                            scale * part.g2)
@@ -484,32 +483,32 @@ def certify_square(system: RegionSystem, square: Square,
     So the screen fails a square only where the exact bounds fail it too;
     passes, margins and every other verdict come from the integers.
 
-    Retry gate.  When the derivative sweep leaves the square
-    indeterminate, each row gets a lower bound, on this precision's grid,
-    of its bump at any precision: the smaller of the coefficient bump
-    floor(rho * g) and the derivative bump floor(rho * d / 10^precision),
-    where rho = r * pi_lo/180 * 10^precision with pi_lo the lower end of
-    the pi enclosure, and d sums over both parts the distance of the
-    derivative bounds from 0 plus floor(rho * g2).  Every precision's
-    bounds enclose the true score, which lies in [lo, hi], so a pass at
-    any precision needs min over black rows of (hi - bump) above max over
-    blue rows of (lo + bump).  Where it is not, the verdict is
-    "indeterminate" with note ``NO_PRECISION_PASSES``, decided on
-    integers like every pass.
+    Retry gate.  After the screen and before any exact sum, a gate in
+    doubles looks for a proof that no precision can pass the square;
+    where it finds one the verdict is "indeterminate" with note
+    ``NO_PRECISION_PASSES``, and ``cover`` does not retry the square.
+    Let rho = r * pi_lo/180 * 10^precision, pi_lo the lower end of the pi
+    enclosure, and give each row L = min(floor(rho * g), floor(rho * d /
+    10^precision)), where d sums over both parts a lower bound on the
+    distance of the derivative from 0 plus floor(rho * g2).  Counted on
+    this precision's grid, every precision's coefficient bump is at least
+    rho * g, and its derivative bump at least rho / 10^precision times a
+    sup that is at least d, since that precision's derivative bounds hold
+    the true derivative; so L is at most every precision's bump.  Every
+    precision's bounds enclose the true score, and so do this one's
+    [lo, hi]; a pass at any precision therefore needs min over black rows
+    of (hi - L) above max over blue rows of (lo + L).  The exact bounds
+    count in 1/N, N = den * 10^precision; f, err and slack are a row's
+    float value, float error and screen slack.  The gate returns its
+    verdict only where three conditions hold, which make it the exact
+    path's verdict:
 
-    Float retry gate.  After the screen and before any exact sum, the gate
-    is tried in doubles.  The exact bounds count in 1/N, N = den *
-    10^precision; f, err and slack are a row's float value, float error
-    and screen slack.  It returns the gate's verdict only where three
-    conditions hold, which make it the exact path's verdict:
-
-    - (a) the exact gate fires: min over black rows of
+    - (a) no precision passes: min over black rows of
       (floor(N * (f + slack)) - L) <= max over blue rows of
       (ceil(N * (f - slack)) + L).  The integer hi is at most
-      N * (f + slack) and lo at least N * (f - slack), and L = min(
-      floor(rho * g), floor(rho * d' / 10^precision)) is at most the
-      exact bump, since d' <= d: d' sums over both parts
-      floor(N * max(0, |f_d| - slack_d)) + floor(rho * g2).  A part's
+      N * (f + slack) and lo at least N * (f - slack), so min over black
+      rows of (hi - L) is at most max over blue rows of (lo + L).  The
+      distance in d is floor(N * max(0, |f_d| - slack_d)).  A part's
       float value f_d sums the row's c/den times m*cos (n*cos) of each
       atom's angle, the cosine with the sine's error argument and the
       products adding 3u per unit of |c*m|/den (|c*n|/den), within the
@@ -523,15 +522,17 @@ def certify_square(system: RegionSystem, square: Square,
       of (f - err) > max over blue rows of (f + err) puts every true black
       score above every true blue one, and the bounds enclose them.
     - (c) neither sweep passes.  This follows from (a): with exact bumps
-      bump_lo <= bump2 <= bump and lo <= hi, min over black rows of
-      (lo - bump2) <= min over black rows of (hi - bump_lo) <= max over
-      blue rows of (lo + bump_lo) <= max over blue rows of (hi + bump2).
+      L <= bump2 <= bump and lo <= hi, min over black rows of
+      (lo - bump2) <= min over black rows of (hi - L) <= max over
+      blue rows of (lo + L) <= max over blue rows of (hi + bump2).
 
     (a) is first tried with L = floor(rho * g), the most L can be; a square
     that leaves open may pass, and needs no derivative floats.  Nor does a
-    row whose reach misses the other color's even then, a black one above
-    every blue reach or a blue one below every black reach: it keeps that
-    L, and smaller L elsewhere only widen its miss, so it never decides.
+    row whose reach (its side of (a)) misses the other color's even then,
+    a black one above every blue reach or a blue one below every black
+    reach: it keeps that L, and smaller L elsewhere only widen its miss,
+    so it never decides.  Every other indeterminate square is retried at
+    double precision.
 
     Witness rows.  Before the screen, the two rows that decided the
     system's last screened "center fails" are evaluated alone, each in
@@ -575,10 +576,8 @@ def certify_square(system: RegionSystem, square: Square,
     cache: dict = {}
     scale = 10 ** precision
     bounds = atom_bounds(system.atoms, X, Y, W, precision, cache, memo)
-    evals = []
-    for row in system.rows:
-        lo, hi = dot_bounds(row.terms, bounds)
-        evals.append((row.is_black, lo, hi, _ceil_times(rad, scale * row.g)))
+    evals = [(row.is_black, *dot_bounds(row.terms, bounds),
+              _ceil_times(rad, scale * row.g)) for row in system.rows]
     black, blue = separation((b, lo - bump if b else hi + bump)
                              for b, lo, hi, bump in evals)
     if black > blue:
@@ -591,27 +590,19 @@ def certify_square(system: RegionSystem, square: Square,
     # center: |f(q) - f(center)| <= r*(pi/180)*(sup|df/dx| + sup|df/dy|),
     # where each sup over the square is the center value widened by the
     # derivative's own coefficient-sum sweep.  Never looser than the plain
-    # bump, so passes already issued are unaffected.  ``reach`` is the
-    # retry gate's: no precision sweeps less than r * pi_lo/180.
+    # bump, so passes already issued are unaffected.
     bounds = atom_bounds(system.partners, X, Y, W, precision, cache, memo)
-    swept, reach = [], []
+    swept = []
     for (is_black, lo, hi, bump), row in zip(evals, system.rows):
-        sup = dist = 0
+        sup = 0
         for part in row.parts:
             dlo, dhi = dot_bounds(part.terms, bounds)
             sup += max(abs(dlo), abs(dhi)) + _ceil_times(rad, scale * part.g2)
-            dist += max(dlo, -dhi, 0) + _floor_times(rad_lo, scale * part.g2)
         bump2 = min(bump, _ceil_times(rad, sup))
-        bump_lo = min(_floor_times(rad_lo, scale * row.g),
-                      _floor_times(rad_lo, dist))
         swept.append((is_black, lo - bump2 if is_black else hi + bump2))
-        reach.append((is_black, hi - bump_lo if is_black else lo + bump_lo))
     black, blue = separation(swept)
     if black > blue:
         return Certificate("pass", Fraction(black - blue, system.den * scale))
-    black, blue = separation(reach)
-    if black <= blue:
-        return Certificate("indeterminate", note=NO_PRECISION_PASSES)
     return Certificate("indeterminate")
 
 

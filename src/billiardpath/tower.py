@@ -355,10 +355,6 @@ class Tower:
         self._located: dict = {}
         self._w = None
 
-    @property
-    def code(self) -> CodeSequence:
-        return self.sym.code
-
     def locate(self, point: TowerPoint):
         """Interval coordinate pair of a tower point."""
         got = self._located.get(id(point))

@@ -379,47 +379,3 @@ def test_faces_match_full_halfplane_set():
             y = F(rng.randrange(0, 1800), 10)
             assert point_satisfies(poly.faces, x, y) == \
                 point_satisfies(poly.halfplanes, x, y)
-
-
-def reference_contains_point(poly, x, y, strict):
-    """``contains_point`` in Fraction arithmetic, as it was computed before
-    the homogeneous integer test."""
-    if not poly.vertices:
-        return False
-    x, y = F(x), F(y)
-    for a, b, c in poly.faces:
-        v = a * x + b * y + c
-        if v < 0 or (strict and v == 0):
-            return False
-    return True
-
-
-def test_contains_point_matches_fraction_reference():
-    plans = inside = 0
-    for entry in load_default_corpus():
-        for asg in all_assignments(entry.code):
-            poly = angle_bounding_polygon(entry.code, asg)
-            x0, y0, x1, y1 = poly.bbox()
-            # a grid over the bounding box, its edges included
-            points = [(x0 + (x1 - x0) * i / 2, y0 + (y1 - y0) * j / 2)
-                      for i in range(3) for j in range(3)]
-            points += poly.vertices
-            # per face: the midpoint of the edge it carries, if any, and a
-            # point on its line a short step off one of its vertices
-            for a, b, c in poly.faces:
-                on = [v for v in poly.vertices
-                      if a * v[0] + b * v[1] + c == 0]
-                if len(on) >= 2:
-                    points.append(((on[0][0] + on[1][0]) / 2,
-                                   (on[0][1] + on[1][1]) / 2))
-                points.append((on[0][0] + F(b, 7), on[0][1] - F(a, 7)))
-            for x, y in points:
-                for strict in (True, False):
-                    got = contains_point(poly, x, y, strict)
-                    assert got == reference_contains_point(poly, x, y,
-                                                           strict), \
-                        (entry.code, x, y, strict)
-                    inside += got
-            plans += 1
-    assert plans == 804
-    assert inside > 0

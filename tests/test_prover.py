@@ -7,7 +7,6 @@ sample points, before being frozen here.
 """
 
 import collections
-import functools
 import gc
 import hashlib
 import random
@@ -77,6 +76,10 @@ def _ceil_times(q, k):
     return -((-k * q.numerator) // q.denominator)
 
 
+def _floor_times(q, k):
+    return k * q.numerator // q.denominator
+
+
 def reference_derivatives(terms):
     """d/dx and d/dy of ((kind, m, n), c) terms in degree units, times
     180/pi, each as (terms, gradient sum): c*sin(m*x + n*y) gives
@@ -95,22 +98,50 @@ def reference_derivatives(terms):
     return tuple(parts)
 
 
-@functools.cache
+def reference_row(is_black, terms):
+    """A row (is_black, terms, g, parts) of ((kind, m, n), c) ``terms``:
+    ``g`` their gradient sum and ``parts`` their
+    ``reference_derivatives``."""
+    terms = tuple(terms)
+    return is_black, terms, gradient_sum(terms), reference_derivatives(terms)
+
+
+_REFERENCE_ROWS = {}
+
+
 def reference_rows(system):
-    """The system's scores as (is_black, terms, g, parts) rows, rebuilt
-    from its symbolic tower without its compiled table: ``terms`` are
-    ((kind, m, n), c) pairs scaled to ``system.den``, ``g`` their gradient
-    sum and ``parts`` their ``reference_derivatives``."""
-    rows = []
-    sym = symbolic_tower(system.code, system.asg)
-    for p in pruned_key_points(sym):
-        sp = sym.score_poly(p)
-        terms = tuple((key, c * (system.den // sp.den))
-                      for key, c in sorted(sp.coeffs.items()))
-        rows.append((p.color == BLACK, terms, gradient_sum(terms),
-                     reference_derivatives(terms)))
-    sym._scores.clear()
-    return tuple(rows)
+    """The system's scores as ``reference_row`` rows, rebuilt from its
+    symbolic tower without its compiled table, the terms scaled to
+    ``system.den``; a ``band_system``'s rows are its given terms."""
+    if system not in _REFERENCE_ROWS:
+        sym = symbolic_tower(system.code, system.asg)
+        rows = []
+        for p in pruned_key_points(sym):
+            sp = sym.score_poly(p)
+            rows.append(reference_row(p.color == BLACK, (
+                (key, c * (system.den // sp.den))
+                for key, c in sorted(sp.coeffs.items()))))
+        sym._scores.clear()
+        _REFERENCE_ROWS[system] = tuple(rows)
+    return _REFERENCE_ROWS[system]
+
+
+def band_system(rows, den):
+    """A band system of (is_black, terms) ``rows`` over ``den`` whose
+    polygon has no faces, so that it holds every square."""
+    polygon = types.SimpleNamespace(faces=(), vertices=((0, 0),),
+                                    is_empty=False)
+    system = RegionSystem(None, None, "band", polygon, None, rows, den)
+    _REFERENCE_ROWS[system] = tuple(reference_row(*row) for row in rows)
+    return system
+
+
+def zy_system(index):
+    """The region system of a default-corpus code under assignment ZY."""
+    code = load_default_corpus()[index].code
+    asg = [a for a in all_assignments(code)
+           if a.symbol(1) + a.symbol(2) == "ZY"][0]
+    return region_system(code, asg)
 
 
 def reference_pair_polys(system):
@@ -131,9 +162,11 @@ def term_bounds(terms, X, Y, W, precision, cache):
     return dot_bounds(enumerate(c for _, c in terms), bounds)
 
 
-def reference_certify(system, square, precision=7):
+def reference_certify(system, square, precision=7, gate=False):
     """``certify_square`` as it was before its float screen and retry gate:
-    every verdict from the exact integers alone."""
+    every verdict from the exact integers alone.  With ``gate``, an
+    indeterminate square that the integer retry gate marks gets the note
+    ``NO_PRECISION_PASSES`` (see ``reference_gate``)."""
     if system.empty:
         return Certificate("fail", note="empty region")
     if system.kind == "band":
@@ -178,13 +211,19 @@ def reference_certify(system, square, precision=7):
     if black_hi_min <= blue_lo_max:
         return Certificate("fail", note="center fails the turning test")
     rad = pi_enclosure(precision).hi / 180 * square.r
+    rad_lo = pi_enclosure(precision).lo / 180 * square.r
     black_min = blue_max = None
+    reach = []
     for (is_black, lo, hi, bump), row in zip(evals, rows):
-        sup = 0
+        sup = dist = 0
         for dterms, g2 in row[3]:
             dlo, dhi = term_bounds(dterms, X, Y, W, precision, cache)
             sup += max(abs(dlo), abs(dhi)) + _ceil_times(base, g2)
+            dist += max(dlo, -dhi, 0) + _floor_times(rad_lo * scale, g2)
         bump2 = min(bump, _ceil_times(rad, sup))
+        bump_lo = min(_floor_times(rad_lo * scale, row[2]),
+                      _floor_times(rad_lo, dist))
+        reach.append((is_black, hi - bump_lo if is_black else lo + bump_lo))
         if is_black:
             swept = lo - bump2
             if black_min is None or swept < black_min:
@@ -196,7 +235,23 @@ def reference_certify(system, square, precision=7):
     if black_min > blue_max:
         margin = Fraction(black_min - blue_max, system.den * scale)
         return Certificate("pass", margin)
+    black_reach = min(v for b, v in reach if b)
+    blue_reach = max(v for b, v in reach if not b)
+    if gate and black_reach <= blue_reach:
+        return Certificate("indeterminate", note=NO_PRECISION_PASSES)
     return Certificate("indeterminate")
+
+
+def reference_gate(system, square, precision):
+    """Whether the integer retry gate, a proof on this precision's exact
+    sums that no precision passes, marks the square: both sweeps leave it
+    indeterminate, and min over black rows of (hi - L) is at most max over
+    blue rows of (lo + L), L the smaller of floor(rho * g) and
+    floor(rho * d / 10^precision), rho = r * pi_lo/180 * 10^precision and
+    d summing over both derivative parts their bounds' distance from 0
+    plus floor(rho * g2)."""
+    cert = reference_certify(system, square, precision, gate=True)
+    return cert.note == NO_PRECISION_PASSES
 
 
 def traced_cover(target, codes):
@@ -1050,14 +1105,9 @@ class TestCoverNode:
         assert hint is held[statuses.index("indeterminate")]
 
 
-def integer_gate_only(monkeypatch):
-    """Switch off the float retry gate, leaving the integer one."""
-    monkeypatch.setattr(prover, "_hopeless", lambda *args: False)
-
-
 class TestFilters:
-    """The float screen and the float and integer retry gates of
-    ``certify_square`` against the exact reference."""
+    """The float screen and the float retry gate of ``certify_square``
+    against the exact reference and its integer retry gate."""
 
     @pytest.mark.parametrize("run", ["deep_run", "thin_run"])
     def test_verdicts_match_the_exact_reference(self, run, request):
@@ -1083,19 +1133,19 @@ class TestFilters:
     @pytest.mark.parametrize("run, gated", [("deep_run", 139),
                                             ("thin_run", 516)])
     def test_float_gate_marks_only_what_the_integer_gate_marks(
-            self, run, gated, request, monkeypatch):
-        # every certify call of the run, repeated on the integer path:
-        # the same status, note and margin, and the float gate decided
-        # every call the integer gate marks
+            self, run, gated, request):
+        # every indeterminate certify call of the run (the float gate
+        # gives no other status) against the integer gate: the float gate
+        # decided exactly the calls the integer gate marks
         _, calls, screened = request.getfixturevalue(run)
-        integer_gate_only(monkeypatch)
         marked = 0
         for system, square, precision, cert in calls:
-            want = certify_square(system, square, precision)
-            assert (cert.status, cert.note, cert.margin) == \
-                (want.status, want.note, want.margin), \
+            if cert.status != "indeterminate":
+                continue
+            want = reference_gate(system, square, precision)
+            assert (cert.note == NO_PRECISION_PASSES) == want, \
                 (system, square, precision)
-            marked += want.note == NO_PRECISION_PASSES
+            marked += want
         assert marked == screened["_hopeless", True] == gated
 
     def test_compiled_rows_match_the_reference_terms(self, repeat_zx):
@@ -1146,7 +1196,8 @@ class TestFilters:
     def test_float_gate_never_marks_what_passes_or_fails(self, monkeypatch):
         # seeded squares in corpus systems' polygons, half sides from
         # 2^-20 to the strip-75-80 root's, at 7 and 14 digits: wherever
-        # the float gate fires, the integer path marks the square too
+        # the float gate fires, the integer gate marks the square too,
+        # and wherever the integer gate marks one, the float gate fires
         corpus = load_default_corpus()
         systems = [region_system(corpus[i].code) for i in DEEP_CODES]
         systems.append(region_system(ORTHIC))
@@ -1172,10 +1223,12 @@ class TestFilters:
 
         monkeypatch.setattr(prover, "_hopeless", gate)
         got = [certify_square(*case) for case in cases]
-        integer_gate_only(monkeypatch)
+        monkeypatch.setattr(prover, "_hopeless", lambda *args: False)
         seen = collections.Counter()
         for case, cert in zip(cases, got):
             want = certify_square(*case)
+            if want.status == "indeterminate" and reference_gate(*case):
+                want.note = NO_PRECISION_PASSES
             assert (cert.status, cert.note, cert.margin) == \
                 (want.status, want.note, want.margin), case
             seen[want.status, want.note] += 1
@@ -1183,27 +1236,23 @@ class TestFilters:
         assert fired[False] >= seen["pass", ""] > 300
         assert fired[True] > 20
 
-    def test_float_gate_slack_covers_the_kernel_width(self, monkeypatch):
+    def test_float_gate_slack_covers_the_kernel_width(self):
         # a black row one unit above a blue one, so that the integer gate
         # turns on at one half side, found by bisection: across half sides
         # moving each bump from 25 grid units below that to 75 above, the
-        # float gate marks only squares the integer path marks, and it
+        # float gate marks only squares the integer gate marks, and it
         # marks those from about 8 units above on
-        hopeless = prover._hopeless
-        integer_gate_only(monkeypatch)
-        polygon = types.SimpleNamespace(faces=(), is_empty=False)
         black = ((("sin", 1, 0), 1), (("cos", 1, 1), -1))
 
         def gate(gap, x, y, r):
             blue = black + ((("cos", 0, 0), -gap),)
-            rows = ((True, black), (False, blue))
-            system = RegionSystem(None, None, "band", polygon, None, rows, 1)
+            system = band_system(((True, black), (False, blue)), 1)
             angles, values = prover._center_floats(
                 system, *to_homogeneous((F(x), F(y))))
             square = Square(x, y, r)
-            cert = certify_square(system, square, 7)
-            return cert, hopeless(system, angles, values, 7,
-                                  prover._radians(square, 7)[0])
+            return (reference_certify(system, square, 7, gate=True),
+                    prover._hopeless(system, angles, values, 7,
+                                     prover._radians(square, 7)[0]))
 
         lo, hi = F(0), F(60)
         while hi - lo > hi / 10 ** 10:
@@ -1232,8 +1281,6 @@ class TestFilters:
         # upper bound as high, as any kernel could put them.  Just below
         # the K at which the integer gate turns on, the float gate must
         # stay off; without the derivative slack it fires there.
-        hopeless = prover._hopeless
-        integer_gate_only(monkeypatch)
         kernel = numeric._sin_folded
 
         def widest(num, den, precision):
@@ -1243,22 +1290,18 @@ class TestFilters:
             return max(hi - 2, 0), hi
 
         monkeypatch.setattr(numeric, "_sin_folded", widest)
-        polygon = types.SimpleNamespace(faces=(), is_empty=False)
         den, r = 10 ** 12, F(68, 10)
         black = ((("sin", 8, 0), 1000 * den),)
 
         def gate(x, k):
             blue = ((("cos", 0, 0), k),)
-            rows = ((True, black), (False, blue))
-            system = RegionSystem(None, None, "band", polygon, None, rows,
-                                  den)
+            system = band_system(((True, black), (False, blue)), den)
             angles, values = prover._center_floats(
                 system, *to_homogeneous((x, F(30))))
             square = Square(x, 30, r)
-            cert = certify_square(system, square, 7)
-            return (cert.note == NO_PRECISION_PASSES,
-                    hopeless(system, angles, values, 7,
-                             prover._radians(square, 7)[0]))
+            return (reference_gate(system, square, 7),
+                    prover._hopeless(system, angles, values, 7,
+                                     prover._radians(square, 7)[0]))
 
         rng = random.Random(16)
         seen = collections.Counter()
@@ -1286,16 +1329,32 @@ class TestFilters:
         # two of the three squares of the full strip-75-80 cover that
         # pass only on retry, each against its code under assignment ZY:
         # neither the float nor the integer retry gate marks them
-        code = load_default_corpus()[index].code
-        asg = [a for a in all_assignments(code)
-               if a.symbol(1) + a.symbol(2) == "ZY"][0]
-        system = region_system(code, asg)
+        system = zy_system(index)
         sq = Square(x, y, r)
         first = certify_square(system, sq, 7)
         assert (first.status, first.note) == ("indeterminate", "")
+        assert not reference_gate(system, sq, 7)
         retry = certify_square(system, sq, 14)
         assert (retry.status, retry.margin) == ("pass", margin)
         assert reference_certify(system, sq, 14).margin == margin
+
+    @pytest.mark.parametrize("x, y, r, index", [
+        (F(736315, 32768), F(1810215, 32768), F(65, 32768), 37),
+        (F(10435475, 524288), F(30832125, 524288), F(65, 524288), 53),
+    ])
+    def test_squares_only_the_integer_gate_marks_are_retried(self, x, y, r,
+                                                             index):
+        # two of the seven squares of the full strip-75-80 cover that the
+        # integer retry gate marks and the float gate does not, each
+        # against its code under assignment ZY: plain indeterminate, so
+        # retried, and passed at no precision
+        system = zy_system(index)
+        sq = Square(x, y, r)
+        first = certify_square(system, sq, 7)
+        assert (first.status, first.note) == ("indeterminate", "")
+        assert reference_gate(system, sq, 7)
+        for precision in (14, 30):
+            assert not reference_certify(system, sq, precision).passed
 
     def test_screen_fails_only_where_the_exact_center_test_fails(self):
         # seeded points across the angle plane, anywhere relative to the
@@ -1413,7 +1472,8 @@ class TestFilters:
 class TestSeparationBoundaries:
     """Each black-over-blue decision of ``certify_square`` and of its float
     retry gate at its boundary, on chosen integers: a black value equal to
-    the blue one never passes, and it fails or gates."""
+    the blue one never passes, and it fails, gates or stays
+    indeterminate."""
 
     BLACK = ((("sin", 1, 0), 1),)
     BLUE = ((("sin", 2, 0), 1),)
@@ -1425,12 +1485,14 @@ class TestSeparationBoundaries:
         ((120, 130), (90, 100), ("pass", F(14, 10 ** 7), "")),
         # the center test: hi against lo
         ((80, 100), (100, 120), ("fail", None, CENTER_FAILS)),
-        ((80, 101), (100, 120), ("indeterminate", None, NO_PRECISION_PASSES)),
+        ((80, 101), (100, 120), ("indeterminate", None, "")),
         # the derivative sweep: lo - 3 against hi + 3
         ((107, 130), (90, 100), ("pass", F(1, 10 ** 7), "")),
         ((106, 130), (90, 100), ("indeterminate", None, "")),
-        # the integer retry gate: hi - 3 against lo + 3
-        ((80, 100), (94, 96), ("indeterminate", None, NO_PRECISION_PASSES)),
+        # no retry gate after the exact sums: whether hi - 3 is at most
+        # lo + 3 (a proof that no precision passes) or above it, the
+        # square is left indeterminate, to be retried
+        ((80, 100), (94, 96), ("indeterminate", None, "")),
         ((80, 101), (94, 96), ("indeterminate", None, "")),
     ])
     def test_certify_square(self, monkeypatch, black, blue, want):
@@ -1449,7 +1511,7 @@ class TestSeparationBoundaries:
         def stub(atoms, *args):
             return [kernel[key] for key in atoms]
 
-        integer_gate_only(monkeypatch)
+        monkeypatch.setattr(prover, "_hopeless", lambda *args: False)
         monkeypatch.setattr(prover, "_center_fails", lambda *args: False)
         monkeypatch.setattr(prover, "atom_bounds", stub)
         monkeypatch.setattr(prover, "_radians",
